@@ -4,9 +4,10 @@ that carries the semigroup onto a full subsemigroup of N^n.
 The dual cone is computed by incremental ray insertion (double description):
 start from a simplicial subcone cut out by a maximal independent subset of
 the constraints, then insert the remaining half-spaces one at a time,
-combining adjacent positive/negative ray pairs.  Adjacency of two rays is
-decided by the exact rank test: the constraints tight at both must have rank
-dim - 2.  Everything is exact over the integers and rationals.
+combining adjacent positive/negative ray pairs.  Two rays are adjacent iff
+at least dim - 2 constraints are tight at both and no third ray is tight on
+all of those (Fukuda-Prodon); tight sets are kept as bitmasks, so this needs
+no rank test.  Everything is exact over the integers and rationals.
 
 Facet functionals are normalized so that their values on the generators are
 integers with gcd 1; this makes each functional integral and primitive on
@@ -18,6 +19,7 @@ downstream output is deterministic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DegenerateCone, WitnessNotFound, ZeroFunctional
 from .exact import (
@@ -58,39 +60,38 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
         raise ValueError("constraint system is rank deficient; cone is not pointed")
 
     # Simplicial start: ray j satisfies base[k] . ray = delta_{kj}, i.e. the
-    # rays are the columns of the inverse of the chosen constraint rows.
+    # rays are the columns of the inverse of the chosen constraint rows.  Each
+    # ray carries the bitmask of the processed constraints tight at it.
     base = [constraints[i] for i in chosen]
-    rays: list[Vector] = []
+    chosen_bits = sum(1 << i for i in chosen)
+    rays: list[tuple[Vector, int]] = []
     for j in range(m):
         unit = [1 if k == j else 0 for k in range(m)]
         col = solve_linear_system(base, unit)
-        rays.append(primitive_vector(col))
+        rays.append((primitive_vector(col), chosen_bits & ~(1 << chosen[j])))
 
-    processed = list(base)
-    chosen_set = set(chosen)
     for i, a in enumerate(constraints):
-        if i in chosen_set:
+        if chosen_bits >> i & 1:
             continue
-        values = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in values):
-            processed.append(a)
-            continue
-        keep = [r for r, v in zip(rays, values) if v >= 0]
-        positive = [(r, v) for r, v in zip(rays, values) if v > 0]
-        negative = [(r, v) for r, v in zip(rays, values) if v < 0]
-        tight = {r: [row for row in processed if dot(row, r) == 0] for r, _ in positive + negative}
-        fresh: dict[Vector, None] = {}
-        for p, vp in positive:
-            tp = set(tight[p])
-            for n, vn in negative:
-                common = [row for row in tight[n] if row in tp]
-                if matrix_rank(common) == m - 2:
-                    combo = vsub(vscale(vp, n), vscale(vn, p))
-                    fresh[primitive_vector(combo)] = None
-        known = set(keep)
-        rays = keep + [r for r in fresh if r not in known]
-        processed.append(a)
-    return sorted(set(rays))
+        values = [dot(a, r) for r, _ in rays]
+        negative = [(n, rays[n]) for n, v in enumerate(values) if v < 0]
+        fresh = []
+        for p, (rp, tp) in enumerate(rays):
+            if values[p] <= 0:
+                continue
+            for n, (rn, tn) in negative:
+                common = tp & tn
+                if common.bit_count() < m - 2 or any(
+                    k != p and k != n and t & common == common
+                    for k, (_, t) in enumerate(rays)
+                ):
+                    continue
+                combo = vsub(vscale(values[p], rn), vscale(values[n], rp))
+                fresh.append((primitive_vector(combo), common | 1 << i))
+        rays = [
+            (r, t | 1 << i if v == 0 else t) for (r, t), v in zip(rays, values) if v >= 0
+        ] + fresh
+    return sorted(r for r, _ in rays)
 
 
 def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
@@ -134,22 +135,12 @@ class FacetFunctional:
         vals = tuple(int(v) for v in self.values_on_generators)
         if any(v < 0 for v in vals):
             raise ValueError("facet functional is negative on a generator")
-        nonzero = [v for v in vals if v]
-        if not nonzero:
+        if not any(vals):
             raise ZeroFunctional("functional vanishes on every generator")
-        g = 0
-        for v in nonzero:
-            g = v if g == 0 else _gcd(g, v)
-        if g != 1:
+        if gcd(*vals) != 1:
             raise ValueError("facet values are not coprime; functional not primitive")
         object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
         object.__setattr__(self, "values_on_generators", vals)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def primitivize(ray, ctx: SemigroupContext) -> FacetFunctional:

@@ -4,17 +4,26 @@ For an embedding T of rank d, the polytope is {x in R^d : 0 <= (Tx)_i <= 1}.
 Counting group elements whose image lies in [0, q-1]^n is, up to O(q^{d-1}),
 q^d times the volume of this polytope, so the exact rational volume is the
 limit of those normalized counts.  Vertices are found by double description
-on the homogenization cone; the volume comes from a lexicographic fan
-triangulation of the boundary, summed as exact rational simplex volumes.
+on the homogenization cone.  The volume comes from a fan triangulation of
+the boundary over the vertex-incidence face lattice (faces are bitmasks of
+vertices), summed as integer determinants of homogeneous vertex coordinates.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .cone import FullEmbedding, extreme_rays, full_embedding
 from .errors import Unbounded
-from .exact import Vector, dot, matrix_rank, rational_determinant, vsub
+from .exact import (
+    IntegerMatrix,
+    Vector,
+    determinant,
+    dot,
+    matrix_rank,
+    rational_determinant,
+    vsub,
+)
 from .semigroup import SemigroupPresentation, build_context
 
 RationalVector = tuple[Fraction, ...]
@@ -86,78 +95,75 @@ def _affine_rank(points) -> int:
     return matrix_rank([vsub(p, base) for p in points[1:]])
 
 
-def _face_facets(polytope, face, k, tightness):
-    """Facets of a face, as sorted vertex-index tuples.
+def _facets(face: int, tight: set[int]) -> list[int]:
+    subs = {face & t for t in tight} - {0, face}
+    return [f for f in subs if not any(f != g and f & g == f for g in subs)]
 
-    Every facet of a face arises by making one more inequality tight, so it
-    suffices to scan all half-spaces and keep the subsets of affine rank k-1.
+
+def _triangulate(face: int, tight: set[int], memo: dict) -> list[tuple[int, ...]]:
+    if face not in memo:
+        apex = (face & -face).bit_length() - 1
+        memo[face] = [
+            (apex,) + s
+            for f in _facets(face, tight)
+            if not f >> apex & 1
+            for s in _triangulate(f, tight, memo)
+        ] or [(apex,)]  # a vertex has no facets
+    return memo[face]
+
+
+def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]]]:
+    """The facets of the polytope, each with a fan triangulation.
+
+    A face is the bitmask of its vertex indices.  The facets of a face F are
+    the inclusion-maximal proper nonempty F & tight_i, where tight_i holds the
+    vertices on the boundary of half-space i.  A face is fanned from its
+    lowest-index (lex-least) vertex over its facets that miss that vertex,
+    down to single vertices, and each face is triangulated once.  Simplices
+    are tuples of vertex indices.
     """
     verts = polytope.vertices
-    facets = set()
-    for ci in range(len(polytope.half_spaces)):
-        sub = tuple(i for i in face if tightness[ci][i])
-        if len(sub) == len(face) or not sub:
-            continue
-        if _affine_rank([verts[i] for i in sub]) == k - 1:
-            facets.add(sub)
-    return sorted(facets)
-
-
-def _triangulate_face(polytope, face, k, tightness):
-    """Fan triangulation of a k-dimensional face from its lex-least vertex."""
-    verts = polytope.vertices
-    if len(face) == k + 1:
-        return [face]
-    apex = min(face, key=lambda i: verts[i])
-    simplices = []
-    for sub in _face_facets(polytope, face, k, tightness):
-        if apex in sub:
-            continue
-        for s in _triangulate_face(polytope, sub, k - 1, tightness):
-            simplices.append((apex,) + s)
-    return simplices
-
-
-def _simplex_volume(verts, simplex, apex_point, d) -> Fraction:
-    rows = [vsub(verts[i], apex_point) for i in simplex]
-    return abs(rational_determinant(rows)) / factorial(d)
+    tight = {
+        sum(1 << j for j, v in enumerate(verts) if dot(a, v) == b)
+        for a, b in polytope.half_spaces
+    }
+    memo: dict[int, list[tuple[int, ...]]] = {}
+    return {f: _triangulate(f, tight, memo) for f in _facets((1 << len(verts)) - 1, tight)}
 
 
 def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fraction:
     """Exact d-volume by fanning boundary simplices from the origin vertex.
 
-    With self_check=True the volume is recomputed from a second decomposition
-    (pyramids over every facet from the vertex centroid) and the two exact
-    values are required to agree.
+    The simplex on the origin and x_1..x_d has volume |D| / (prod t_i * d!),
+    where t_i is the lcm of the denominators of x_i and D is the integer
+    determinant of the homogeneous rows (x_i t_i, t_i) and (0, ..., 0, 1),
+    i.e. of the rows x_i t_i.  With self_check=True the volume is recomputed
+    from a second decomposition (pyramids over every facet from the vertex
+    centroid, by rational elimination) and the two values must agree.
     """
     d = polytope.dim
     verts = polytope.vertices
     if d == 0:
         return Fraction(1)
-    tightness = [
-        [dot(a, v) == b for v in verts] for a, b in polytope.half_spaces
-    ]
-    all_indices = tuple(range(len(verts)))
-    origin = (Fraction(0),) * d
-    origin_index = verts.index(origin)
-    facets = _face_facets(polytope, all_indices, d, tightness)
-    facet_triangulations = {
-        f: _triangulate_face(polytope, f, d - 1, tightness) for f in facets
-    }
+    fan = _boundary_fan(polytope)
+    origin = verts.index((Fraction(0),) * d)
+    scales = [lcm(*(x.denominator for x in v)) for v in verts]
+    rows = [tuple(int(x * t) for x in v) for v, t in zip(verts, scales)]
     total = Fraction(0)
-    for f in facets:
-        if origin_index in f:
-            continue
-        for simplex in facet_triangulations[f]:
-            total += _simplex_volume(verts, simplex, origin, d)
+    for facet, simplices in fan.items():
+        if not facet >> origin & 1:
+            for s in simplices:
+                det = determinant(IntegerMatrix(tuple(rows[i] for i in s)))
+                total += Fraction(abs(det), prod(scales[i] for i in s))
+    total /= factorial(d)
     if self_check:
-        centroid = tuple(
-            sum(v[j] for v in verts) / len(verts) for j in range(d)
-        )
-        second = Fraction(0)
-        for f in facets:
-            for simplex in facet_triangulations[f]:
-                second += _simplex_volume(verts, simplex, centroid, d)
+        centroid = tuple(sum(v[j] for v in verts) / len(verts) for j in range(d))
+        apart = [vsub(v, centroid) for v in verts]
+        second = sum(
+            abs(rational_determinant([apart[i] for i in s]))
+            for simplices in fan.values()
+            for s in simplices
+        ) / factorial(d)
         if second != total:
             raise ArithmeticError(
                 f"volume decompositions disagree: {total} versus {second}"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsig.cone import (
     dual_cone_rays,
@@ -29,6 +31,44 @@ FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 RESCALED = SemigroupPresentation(2, ((2, 0), (0, 2)), name="rescaled")
 
 
+def brute_rays(constraints, m):
+    """Independent oracle: a ray of a pointed cone spans the nullspace of a
+    rank m-1 subset of constraints and is nonnegative on all of them."""
+    out = set()
+    for subset in itertools.combinations(range(len(constraints)), m - 1):
+        rows = [constraints[i] for i in subset]
+        if matrix_rank(rows) != m - 1:
+            continue
+        direction = None
+        for pin in range(m):
+            aug = [list(r) for r in rows] + [[1 if j == pin else 0 for j in range(m)]]
+            if matrix_rank(aug) == m:
+                direction = solve_linear_system(aug, [0] * (m - 1) + [1])
+                break
+        for sign in (1, -1):
+            cand = tuple(sign * x for x in direction)
+            if all(dot(c, cand) >= 0 for c in constraints):
+                tight = [c for c in constraints if dot(c, cand) == 0]
+                if matrix_rank(tight) == m - 1:
+                    out.add(primitive_vector(cand))
+    return sorted(out)
+
+
+@st.composite
+def pointed_systems(draw):
+    # positive multiples of drawn rows repeat a facet; on a repeated facet
+    # non-adjacent rays share dim - 2 tight rows, so only the third-ray
+    # check tells them apart
+    m = draw(st.integers(2, 4))
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * m), min_size=m, max_size=m + 3)
+    )
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        scaled = tuple(draw(st.integers(1, 2)) * x for x in rows[k])
+        rows.insert(draw(st.integers(0, len(rows))), scaled)
+    return rows
+
+
 class TestExtremeRays:
     def test_orthant_is_self_dual(self):
         assert extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
@@ -48,30 +88,6 @@ class TestExtremeRays:
             extreme_rays([(1, 0), (2, 0)])
 
     def test_matches_subset_enumeration_oracle(self):
-        # independent oracle: a ray of a pointed cone spans the nullspace of
-        # a rank m-1 subset of constraints and is nonnegative on all of them
-        def brute_rays(constraints, m):
-            out = set()
-            for subset in itertools.combinations(range(len(constraints)), m - 1):
-                rows = [constraints[i] for i in subset]
-                if matrix_rank(rows) != m - 1:
-                    continue
-                direction = None
-                for pin in range(m):
-                    aug = [list(r) for r in rows] + [
-                        [1 if j == pin else 0 for j in range(m)]
-                    ]
-                    if matrix_rank(aug) == m:
-                        direction = solve_linear_system(aug, [0] * (m - 1) + [1])
-                        break
-                for sign in (1, -1):
-                    cand = tuple(sign * x for x in direction)
-                    if all(dot(c, cand) >= 0 for c in constraints):
-                        tight = [c for c in constraints if dot(c, cand) == 0]
-                        if matrix_rank(tight) == m - 1:
-                            out.add(primitive_vector(cand))
-            return sorted(out)
-
         rng = random.Random(99)
         checked = 0
         while checked < 60:
@@ -82,6 +98,50 @@ class TestExtremeRays:
                 continue
             assert extreme_rays(constraints) == brute_rays(constraints, m)
             checked += 1
+
+    def test_duplicated_and_positively_combined_rows(self):
+        # a duplicate or a positive combination of rows cuts nothing off the
+        # cone, but it enlarges tight sets: two rays can then share dim - 2
+        # tight rows without being adjacent
+        rng = random.Random(7)
+        checked = 0
+        while checked < 40:
+            m = rng.randint(2, 4)
+            constraints = [
+                tuple(rng.randint(-3, 3) for _ in range(m))
+                for _ in range(rng.randint(m, m + 3))
+            ]
+            if matrix_rank(constraints) < m:
+                continue
+            a, b = rng.choice(constraints), rng.choice(constraints)
+            extra = [a, tuple(rng.randint(1, 3) * x + y for x, y in zip(a, b))]
+            for row in extra:
+                constraints.insert(rng.randint(0, len(constraints)), row)
+            assert extreme_rays(constraints) == brute_rays(constraints, m)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [segre_generators(2, 3), veronese_generators(3, 2)],
+        ids=lambda p: p.name,
+    )
+    def test_homogenized_signature_polytope_system(self, presentation):
+        # the cone over {0 <= Tx <= 1}: every vertex ray is tight on many rows
+        t_rows = full_embedding(build_context(presentation)).matrix_T.rows
+        d = len(t_rows[0])
+        constraints = [(0,) * d + (1,)]
+        for w in t_rows:
+            constraints += [w + (0,), tuple(-a for a in w) + (1,)]
+        rays = extreme_rays(constraints)
+        assert rays == brute_rays(constraints, d + 1)
+        assert all(r[-1] > 0 for r in rays)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pointed_systems())
+    def test_matches_oracle_on_any_pointed_cone(self, constraints):
+        m = len(constraints[0])
+        assume(matrix_rank(constraints) == m)
+        assert extreme_rays(constraints) == brute_rays(constraints, m)
 
 
 class TestDualConeRays:

@@ -1,14 +1,16 @@
 """Signature polytope vertices, exact volumes, and the signature pipeline."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from fsig.cone import full_embedding
-from fsig.families import segre_generators, veronese_generators
+from fsig.families import segre_generators, segre_signature, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import (
     SignaturePolytope,
+    _boundary_fan,
     f_signature,
     polytope_volume,
     signature_polytope,
@@ -64,13 +66,40 @@ class TestPolytopeVolume:
         )
         assert polytope_volume(triangle) == F(1, 2)
 
+    def test_unit_cube_face_lattice(self):
+        # [0,1]^3: each of the 3 facets missing the origin is a square, fanned
+        # into 2 triangles; the 3 facets through the origin add no simplex
+        units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+        cube = SignaturePolytope(
+            half_spaces=tuple(
+                h for e in units for h in ((tuple(-x for x in e), 0), (e, 1))
+            ),
+            vertices=tuple(itertools.product((F(0), F(1)), repeat=3)),
+            dim=3,
+        )
+        fan = _boundary_fan(cube)
+        assert len(fan) == 6
+        assert all(facet.bit_count() == 4 for facet in fan)
+        origin_bit = 1 << cube.vertices.index((F(0),) * 3)
+        missing_origin = [len(s) for f, s in fan.items() if not f & origin_bit]
+        assert missing_origin == [2, 2, 2]
+        assert polytope_volume(cube) == 1
+
     def test_veronese_strip(self):
         emb = full_embedding(build_context(veronese_generators(2, 2)))
         assert polytope_volume(signature_polytope(emb)) == F(1, 2)
 
     @pytest.mark.parametrize(
         "presentation",
-        [FREE2, veronese_generators(2, 2), segre_generators(2, 2), segre_generators(2, 3)],
+        [
+            FREE2,
+            veronese_generators(2, 2),
+            segre_generators(2, 2),
+            segre_generators(2, 3),
+            segre_generators(3, 4),
+            segre_generators(4, 4),
+            veronese_generators(6, 2),
+        ],
         ids=lambda p: p.name,
     )
     def test_self_check_decompositions_agree(self, presentation):
@@ -113,6 +142,16 @@ class TestFSignature:
     def test_segre_22(self):
         # A(3,2)/3! = 4/6, cross-checked against free-rank counts elsewhere
         assert f_signature(segre_generators(2, 2)).value == F(2, 3)
+
+    @pytest.mark.parametrize(
+        "r,s", [(r, s) for r in range(2, 5) for s in range(r, 9 - r)]
+    )
+    def test_segre_eulerian_closed_form(self, r, s):
+        assert f_signature(segre_generators(r, s)).value == segre_signature(r, s)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_veronese_degree_two_is_one_half(self, d):
+        assert f_signature(veronese_generators(d, 2)).value == F(1, 2)
 
     def test_veronese_23(self):
         assert f_signature(veronese_generators(2, 3)).value == F(1, 3)
