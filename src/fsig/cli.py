@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .cone import dual_cone_rays, full_embedding, primitivize
+from .cone import dual_cone_rays, facet_functionals, full_embedding
 from .errors import BudgetError, ParseError, PreconditionError
 from .frobenius import (
     HKIdentity,
@@ -317,8 +317,7 @@ def cmd_family(args) -> int:
 def cmd_check_normal(args) -> int:
     presentation = load_document(args.file)
     ctx = build_context(presentation)
-    facets = tuple(primitivize(r, ctx) for r in dual_cone_rays(ctx))
-    verdict = check_normal(ctx, facets, args.bound)
+    verdict = check_normal(ctx, facet_functionals(ctx), args.bound)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -417,8 +416,7 @@ def _selftest_checks():
     def check_normality_diagnostic():
         bad = SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)))
         ctx = build_context(bad)
-        facets = tuple(primitivize(r, ctx) for r in dual_cone_rays(ctx))
-        verdict = check_normal(ctx, facets, 4)
+        verdict = check_normal(ctx, facet_functionals(ctx), 4)
         return not verdict.normal and verdict.counterexample == (1, 0)
 
     return [

@@ -7,7 +7,10 @@ the constraints, then insert the remaining half-spaces one at a time,
 combining adjacent positive/negative ray pairs.  Two rays are adjacent iff
 at least dim - 2 constraints are tight at both and no third ray is tight on
 all of those (Fukuda-Prodon); tight sets are kept as bitmasks, so this needs
-no rank test.  Everything is exact over the integers and rationals.
+no rank test.  The start rays are the columns of a fraction-free scaled
+inverse of the chosen rows, and each dual ray is carried to ambient
+coordinates through one scaled inverse of the lattice basis's Gram matrix,
+so rays are built in integer arithmetic throughout.
 
 Facet functionals are normalized so that their values on the generators are
 integers with gcd 1; this makes each functional integral and primitive on
@@ -19,7 +22,7 @@ downstream output is deterministic.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateCone, WitnessNotFound, ZeroFunctional
 from .exact import (
@@ -30,7 +33,7 @@ from .exact import (
     hermite_basis,
     matrix_rank,
     primitive_vector,
-    solve_linear_system,
+    scaled_inverse,
     vadd,
     vscale,
     vsub,
@@ -41,8 +44,9 @@ from .semigroup import SemigroupContext
 def extreme_rays(constraints: list[Vector]) -> list[Vector]:
     """Extreme rays of the pointed cone {x : a . x >= 0 for every row a}.
 
-    The constraint rows must have full column rank (this is what makes the
-    cone pointed).  Returns primitive integer ray representatives, sorted.
+    The constraint rows are integer vectors and must have full column rank
+    (this is what makes the cone pointed).  Returns primitive integer ray
+    representatives, sorted.
     """
     if not constraints:
         raise ValueError("extreme_rays requires at least one constraint")
@@ -60,15 +64,16 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
         raise ValueError("constraint system is rank deficient; cone is not pointed")
 
     # Simplicial start: ray j satisfies base[k] . ray = delta_{kj}, i.e. the
-    # rays are the columns of the inverse of the chosen constraint rows.  Each
-    # ray carries the bitmask of the processed constraints tight at it.
-    base = [constraints[i] for i in chosen]
+    # rays are the columns of the inverse of the chosen constraint rows, read
+    # off the scaled inverse d * base^-1 with the sign of d.  Each ray carries
+    # the bitmask of the processed constraints tight at it.
+    d, inverse = scaled_inverse([constraints[i] for i in chosen])
+    sign = 1 if d > 0 else -1
     chosen_bits = sum(1 << i for i in chosen)
-    rays: list[tuple[Vector, int]] = []
-    for j in range(m):
-        unit = [1 if k == j else 0 for k in range(m)]
-        col = solve_linear_system(base, unit)
-        rays.append((primitive_vector(col), chosen_bits & ~(1 << chosen[j])))
+    rays: list[tuple[Vector, int]] = [
+        (primitive_vector([sign * row[j] for row in inverse]), chosen_bits & ~(1 << chosen[j]))
+        for j in range(m)
+    ]
 
     for i, a in enumerate(constraints):
         if chosen_bits >> i & 1:
@@ -104,18 +109,17 @@ def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
     if ctx.rank == 0:
         raise DegenerateCone("generators span only the zero cone")
     rays_lattice = extreme_rays([tuple(c) for c in ctx.generator_coords])
+    # The ambient ray of a lattice functional w is y @ basis with gram @ y = w.
+    # The gram matrix of independent rows is positive definite, so d = det > 0
+    # and inverse @ w is y scaled by d, which primitive_vector removes.
     basis = ctx.lattice.rows
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
+    d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
+    if d <= 0:
+        raise DegenerateCone("lattice basis lost rank")
     ambient = []
     for w in rays_lattice:
-        y = solve_linear_system(gram, w)
-        if y is None:  # gram matrix of independent rows is never singular
-            raise DegenerateCone("lattice basis lost rank")
-        vec = [Fraction(0)] * ctx.presentation.ambient_rank
-        for coeff, row in zip(y, basis):
-            if coeff:
-                vec = [a + coeff * b for a, b in zip(vec, row)]
-        ambient.append(primitive_vector(vec))
+        y = [dot(row, w) for row in inverse]
+        ambient.append(primitive_vector([dot(y, col) for col in zip(*basis)]))
     return sorted(ambient)
 
 
@@ -148,21 +152,24 @@ def primitivize(ray, ctx: SemigroupContext) -> FacetFunctional:
 
     The scale is the unique positive rational making all values integers of
     gcd 1; e.g. the ray (1, 0) over generators (2,0),(0,2) has values (2, 0)
-    and is rescaled to (1/2, 0) with values (1, 0).
+    and is rescaled to (1/2, 0) with values (1, 0).  The values are computed
+    in integers on the primitive form of the ray and divided by their gcd.
     """
-    values = [dot([Fraction(x) for x in ray], g) for g in ctx.presentation.generators]
+    if all(x == 0 for x in ray):
+        raise ZeroFunctional("ray vanishes on every generator")
+    ray = primitive_vector(ray)
+    values = [dot(ray, g) for g in ctx.presentation.generators]
     if all(v == 0 for v in values):
         raise ZeroFunctional("ray vanishes on every generator")
     if any(v < 0 for v in values):
         raise ValueError("ray is negative on a generator")
-    scaled = primitive_vector(values)
-    factor = None
-    for new, old in zip(scaled, values):
-        if old != 0:
-            factor = Fraction(new) / old
-            break
-    coefficients = tuple(Fraction(x) * factor for x in ray)
-    return FacetFunctional(coefficients, scaled)
+    g = gcd(*values)
+    return FacetFunctional(tuple(Fraction(x, g) for x in ray), tuple(v // g for v in values))
+
+
+def facet_functionals(ctx: SemigroupContext) -> tuple[FacetFunctional, ...]:
+    """The primitivized facet functionals of the generator cone, in ray order."""
+    return tuple(primitivize(r, ctx) for r in dual_cone_rays(ctx))
 
 
 @dataclass(frozen=True)
@@ -192,16 +199,18 @@ def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
     Verifies injectivity on the generated group (the stacked matrix has full
     column rank) and nonnegativity of the generator images.
     """
-    rays = dual_cone_rays(ctx)
-    functionals = tuple(primitivize(r, ctx) for r in rays)
+    functionals = facet_functionals(ctx)
     t_rows = []
     for f in functionals:
+        # integer numerators over one denominator: each value is an exact quotient
+        scale = lcm(*(c.denominator for c in f.coefficients))
+        ints = [c.numerator * (scale // c.denominator) for c in f.coefficients]
         row = []
         for basis_row in ctx.lattice.rows:
-            val = dot(f.coefficients, basis_row)
-            if val.denominator != 1:  # integral on the group by construction
+            val, rem = divmod(dot(ints, basis_row), scale)
+            if rem:  # integral on the group by construction
                 raise DegenerateCone("functional is not integral on the lattice")
-            row.append(int(val))
+            row.append(val)
         t_rows.append(tuple(row))
     matrix_t = IntegerMatrix(tuple(t_rows))
     if matrix_rank(matrix_t.rows) != ctx.rank:

@@ -14,6 +14,7 @@ against a basis in this form.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -259,6 +260,36 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fracti
     return tuple(row[n] for row in work)
 
 
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...] | None]:
+    """(d, B) with B @ A = A @ B = d * I and d = +-det A, or (0, None) if singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I]: every entry
+    stays an integer minor of the augmented matrix, so each division is exact,
+    and at the end the left block is d * I.  Entries must be integers.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("scaled_inverse requires a square matrix")
+    a = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                return 0, None
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
+
+
 def rational_determinant(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix with rational entries."""
     n = len(rows)
@@ -288,13 +319,15 @@ def rational_determinant(rows: Sequence[Sequence]) -> Fraction:
 
 
 def primitive_vector(vec: Sequence) -> Vector:
-    """The unique primitive integer vector that is a positive multiple of vec."""
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("the zero vector has no primitive form")
-    denom = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denom) for x in fracs]
+    """The unique primitive integer vector that is a positive multiple of vec.
+
+    Entries are ints or Fractions; the denominators are cleared in integers.
+    """
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("the zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 

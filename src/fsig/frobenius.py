@@ -240,9 +240,6 @@ def _minimalize(vectors: list[Vector]) -> tuple[Vector, ...]:
     return tuple(kept)
 
 
-_FIELD_BITS = 32  # per-coordinate field width for packed domination tests
-
-
 def hk_colength(
     emb: FullEmbedding, ideal: MonomialIdeal, q: int, budget: int = 5_000_000
 ) -> int:
@@ -254,9 +251,11 @@ def hk_colength(
     (no generator supported inside some generator direction) raises
     NotPrimary up front; a finite but oversized count raises BudgetExceeded.
 
-    Points are packed into single integers, one 32-bit field per coordinate,
-    so that componentwise domination becomes a borrow test; the budget keeps
-    every coordinate far below the field width.
+    Points are packed into single integers, one field per coordinate, so
+    that componentwise domination becomes a borrow test.  Every expanded
+    point lies on a chain of at most budget generator steps from 0, so the
+    field width is taken from (budget + 1) times the largest step coordinate
+    and from the largest Frobenius-generator coordinate, plus a borrow bit.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -278,7 +277,9 @@ def hk_colength(
                 f"no ideal generator is supported inside direction {g}; "
                 "the quotient is not finite"
             )
-    bits = _FIELD_BITS
+    max_step = max(max(g) for g in emb.image_generators)
+    largest = max((budget + 1) * max_step, max(max(f) for f in frobenius_gens))
+    bits = largest.bit_length() + 1
 
     def pack(v: Vector) -> int:
         return sum(x << (bits * j) for j, x in enumerate(v))

@@ -5,12 +5,16 @@ derived from it fixes lattice coordinates: a Hermite basis of the group
 generated by the generators, against which all downstream functionals and
 counts are expressed.
 
-Membership and the normality diagnostic below are only meaningful for
-normal semigroups; normality itself is an assumption of the signature
-pipeline, and check_normal certifies it up to a finite bound only.
+Membership below is only meaningful for normal semigroups; normality itself
+is an assumption of the signature pipeline, and check_normal certifies it up
+to a finite bound only.  It closes the generators inside the box once per
+call and compares that set with the group-and-cone points of the box;
+is_natural_combination decides one point by its own search and serves as an
+independent check of it.
 """
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 from .errors import EmptyPresentation, InvalidPresentation
@@ -21,6 +25,7 @@ from .exact import (
     express_in_basis,
     hermite_basis,
     lattice_points_in_box,
+    primitive_vector,
 )
 
 
@@ -144,14 +149,28 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
     Enumerates every group member v with 0 <= v_i <= bound and all facet
     values >= 0, and verifies that each is a nonnegative integer combination
     of the generators; the first failure is returned as a counterexample.
+
+    The combinations inside the box are found once per call, by closure from
+    0: generators are nonnegative, so every partial sum of an in-box
+    combination stays in the box.  Facet signs are read off integer rows,
+    each the primitive positive multiple of a functional's coefficients.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     gens = ctx.presentation.generators
+    zero = (0,) * ctx.presentation.ambient_rank
+    combinations = {zero}
+    frontier = [zero]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            w = tuple(map(add, u, g))
+            if max(w) <= bound and w not in combinations:
+                combinations.add(w)
+                frontier.append(w)
+    rows = [primitive_vector(f.coefficients) for f in facets]
     box = [bound] * ctx.presentation.ambient_rank
     for v in lattice_points_in_box(ctx.lattice, box):
-        if any(dot(f.coefficients, v) < 0 for f in facets):
-            continue
-        if not is_natural_combination(v, gens):
+        if v not in combinations and all(sum(map(mul, row, v)) >= 0 for row in rows):
             return NormalityVerdict(False, v, bound)
     return NormalityVerdict(True, None, bound)

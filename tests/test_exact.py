@@ -16,7 +16,9 @@ from fsig.exact import (
     lattice_points_in_box,
     matrix_rank,
     primitive_vector,
+    scaled_inverse,
     solve_integer_combination,
+    solve_linear_system,
 )
 
 
@@ -132,6 +134,71 @@ class TestDeterminant:
             assert determinant(IntegerMatrix(product)) == determinant(
                 IntegerMatrix(tuple(map(tuple, a)))
             ) * determinant(IntegerMatrix(tuple(map(tuple, b))))
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestScaledInverse:
+    def test_hand_case(self):
+        # (1 2; 3 4) has determinant -2 and inverse (-2 1; 3/2 -1/2)
+        d, b = scaled_inverse([(1, 2), (3, 4)])
+        assert abs(d) == 2
+        assert [[Fraction(x, d) for x in row] for row in b] == [
+            [-2, 1],
+            [Fraction(3, 2), Fraction(-1, 2)],
+        ]
+
+    def test_pivot_swap(self):
+        d, b = scaled_inverse([(0, 1), (1, 0)])
+        assert abs(d) == 1
+        assert matmul(b, [(0, 1), (1, 0)]) == [[d, 0], [0, d]]
+
+    def test_singular_inputs(self):
+        assert scaled_inverse([(1, 2), (2, 4)]) == (0, None)
+        assert scaled_inverse([(0, 0), (0, 1)]) == (0, None)
+        assert scaled_inverse([(1, 2, 3), (4, 5, 6), (5, 7, 9)]) == (0, None)
+
+    def test_empty_and_non_square(self):
+        assert scaled_inverse([]) == (1, ())
+        with pytest.raises(ValueError):
+            scaled_inverse([(1, 2, 3), (4, 5, 6)])
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            scaled_inverse([(Fraction(1, 2), 0), (0, 1)])
+
+    def test_two_sided_inverse_and_determinant_randomized(self):
+        rng = random.Random(1709)
+        singular = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            det = determinant(IntegerMatrix(tuple(map(tuple, a))))
+            d, b = scaled_inverse(a)
+            if det == 0:
+                assert (d, b) == (0, None)
+                singular += 1
+                continue
+            assert abs(d) == abs(det)
+            scaled_identity = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+            assert matmul(b, a) == scaled_identity
+            assert matmul(a, b) == scaled_identity
+        assert 0 < singular < 200  # both branches were exercised
+
+    def test_matches_solve_linear_system_randomized(self):
+        rng = random.Random(1710)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-5, 5) for _ in range(n)]
+            d, b = scaled_inverse(a)
+            expected = solve_linear_system(a, rhs)
+            if expected is None:
+                assert (d, b) == (0, None)
+            else:
+                assert tuple(Fraction(sum(x * y for x, y in zip(row, rhs)), d) for row in b) == expected
 
 
 class TestExpressInBasis:

@@ -174,6 +174,17 @@ class TestHkColength:
         with pytest.raises(BudgetExceeded):
             hk_colength(emb, ideal, 2, budget=50)
 
+    def test_small_colength_of_the_maximal_ideal(self):
+        emb = emb_of(FREE1)
+        assert hk_colength(emb, MonomialIdeal.generated_by([(1,)]), 5) == 5
+
+    @pytest.mark.parametrize("q", [2**31 + 1, 2**32 + 3])
+    def test_coordinates_past_32_bits_hit_budget(self, q):
+        # the colength is q; fixed 32-bit packing fields once returned 0 and 3
+        emb = emb_of(FREE1)
+        with pytest.raises(BudgetExceeded):
+            hk_colength(emb, MonomialIdeal.generated_by([(1,)]), q, budget=1000)
+
     def test_frobenius_power_composes(self):
         emb = emb_of(FREE1)
         ideal = MonomialIdeal.not_dividing((1,), 1)

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from fsig.cone import dual_cone_rays, primitivize
+from fsig.cone import facet_functionals
 from fsig.errors import EmptyPresentation, InvalidPresentation
+from fsig.exact import dot, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
 from fsig.semigroup import (
     SemigroupPresentation,
@@ -21,7 +24,26 @@ FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 
 def facets_of(presentation):
     ctx = build_context(presentation)
-    return ctx, tuple(primitivize(r, ctx) for r in dual_cone_rays(ctx))
+    return ctx, facet_functionals(ctx)
+
+
+def per_point_check_normal(ctx, facets, bound):
+    """Independent oracle: decide every box point by its own search."""
+    box = [bound] * ctx.presentation.ambient_rank
+    for v in lattice_points_in_box(ctx.lattice, box):
+        if all(dot(f.coefficients, v) >= 0 for f in facets) and not is_natural_combination(
+            v, ctx.presentation.generators
+        ):
+            return False, v
+    return True, None
+
+
+@st.composite
+def small_presentations(draw):
+    r = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * r).filter(any)
+    gens = draw(st.lists(vector, min_size=1, max_size=5, unique=True))
+    return SemigroupPresentation(r, tuple(gens))
 
 
 class TestPresentation:
@@ -122,6 +144,20 @@ class TestCheckNormal:
         ctx, facets = facets_of(FREE2)
         for bound in (1, 3, 6):
             assert check_normal(ctx, facets, bound).normal
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_presentations(), st.integers(1, 6))
+    @example(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))), 4)
+    @example(SemigroupPresentation(2, ((0, 3), (1, 1), (3, 0))), 6)
+    @example(SemigroupPresentation(3, ((2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))), 3)
+    def test_matches_per_point_oracle(self, presentation, bound):
+        ctx, facets = facets_of(presentation)
+        verdict = check_normal(ctx, facets, bound)
+        assert (verdict.normal, verdict.counterexample) == per_point_check_normal(
+            ctx, facets, bound
+        )
+        assert verdict.bound == bound
+        event("normal" if verdict.normal else "not normal")
 
     def test_bad_bound_rejected(self):
         ctx, facets = facets_of(FREE2)
