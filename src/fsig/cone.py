@@ -3,14 +3,15 @@ that carries the semigroup onto a full subsemigroup of N^n.
 
 The dual cone is computed by incremental ray insertion (double description):
 start from a simplicial subcone cut out by a maximal independent subset of
-the constraints, then insert the remaining half-spaces one at a time,
-combining adjacent positive/negative ray pairs.  Two rays are adjacent iff
-at least dim - 2 constraints are tight at both and no third ray is tight on
-all of those (Fukuda-Prodon); tight sets are kept as bitmasks, so this needs
-no rank test.  The start rays are the columns of a fraction-free scaled
-inverse of the chosen rows, and each dual ray is carried to ambient
-coordinates through one scaled inverse of the lattice basis's Gram matrix,
-so rays are built in integer arithmetic throughout.
+the constraints, chosen in one fraction-free elimination, then insert the
+remaining half-spaces one at a time, combining adjacent positive/negative
+ray pairs.  Two rays are adjacent iff at least dim - 2 constraints are tight
+at both and no third ray is tight on all of those (Fukuda-Prodon); tight
+sets are kept as bitmasks, so this needs no rank test.  The start rays are
+the columns of a fraction-free scaled inverse of the chosen rows, and each
+dual ray is carried to ambient coordinates through one scaled inverse of the
+lattice basis's Gram matrix, so rays are built in integer arithmetic
+throughout.
 
 Facet functionals are normalized so that their values on the generators are
 integers with gcd 1; this makes each functional integral and primitive on
@@ -31,6 +32,7 @@ from .exact import (
     dot,
     extended_gcd_vector,
     hermite_basis,
+    independent_rows,
     matrix_rank,
     primitive_vector,
     scaled_inverse,
@@ -52,14 +54,8 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
         raise ValueError("extreme_rays requires at least one constraint")
     m = len(constraints[0])
 
-    # Greedy maximal independent subset, in input order.
-    chosen: list[int] = []
-    for i in range(len(constraints)):
-        if len(chosen) == m:
-            break
-        trial = [constraints[j] for j in chosen] + [constraints[i]]
-        if matrix_rank(trial) > len(chosen):
-            chosen.append(i)
+    # Maximal independent subset, each row independent of those before it.
+    chosen = independent_rows(constraints)
     if len(chosen) < m:
         raise ValueError("constraint system is rank deficient; cone is not pointed")
 

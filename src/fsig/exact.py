@@ -5,6 +5,12 @@ overflow is possible and every result is exact.  Matrices and vectors are
 immutable tuples; all functions here are pure, which makes them safe for
 concurrent use.
 
+Every elimination is fraction-free (Bareiss): rank, determinant and the
+independent rows come from one forward elimination, _echelon, with rational
+rows first cleared of their denominators, and scaled_inverse runs the same
+scheme as a Gauss-Jordan pass.  The one exception is solve_linear_system, a
+Fraction reference kept for the tests.
+
 The Hermite normal form convention used throughout the package: row-style,
 upper echelon, positive pivots, and every entry above a pivot reduced into
 [0, pivot).  Lattice coordinates elsewhere in the package are always taken
@@ -13,7 +19,7 @@ against a basis in this form.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index
 from typing import Iterator, Sequence
 
@@ -136,31 +142,55 @@ def hermite_basis_with_transform(m: IntegerMatrix) -> tuple[IntegerMatrix, Integ
     return IntegerMatrix(tuple(basis)), IntegerMatrix(tuple(transform))
 
 
+def _cleared(row: Sequence) -> tuple[int, list[int]]:
+    """(s, s * row) with s the lcm of the denominators of the int/Fraction row."""
+    scale = lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) forward elimination of rectangular integer rows.
+
+    Returns (pivot columns, sign of the row swaps, last pivot); a column with
+    no pivot left is skipped, so column j is a pivot iff it is independent of
+    the columns before it.  Every entry stays an integer minor of the input,
+    so each division by the previous pivot is exact.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        for i in range(r, n):
+            if a[i][col]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[col]
+        for i in range(r + 1, n):
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+        pivots.append(col)
+        if r + 1 == n:
+            break
+    return pivots, sign, prev
+
+
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = m.nrows
-    if n != m.ncols:
+    if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign, last = _echelon(m.rows)
+    return sign * last if len(pivots) == m.nrows else 0
 
 
 def _pivot_columns(basis: IntegerMatrix) -> list[int]:
@@ -211,27 +241,17 @@ def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Rank over the rationals of int/Fraction rows (row scaling keeps it)."""
+    return len(_echelon([_cleared(row)[1] for row in rows])[0])
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows that are independent of the rows before them.
+
+    These are the pivot columns of the transpose, so row i is taken iff it
+    is not in the span of the rows taken before it.
+    """
+    return _echelon(list(zip(*rows)))[0]
 
 
 def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -291,31 +311,12 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ..
 
 
 def rational_determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix with rational entries."""
+    """Exact determinant of a square int/Fraction matrix, via its cleared rows."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("rational_determinant requires a square matrix")
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
+    scales, cleared = zip(*map(_cleared, rows)) if rows else ((), ())
+    return Fraction(determinant(IntegerMatrix(cleared)), prod(scales))
 
 
 def primitive_vector(vec: Sequence) -> Vector:
@@ -323,8 +324,7 @@ def primitive_vector(vec: Sequence) -> Vector:
 
     Entries are ints or Fractions; the denominators are cleared in integers.
     """
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    ints = _cleared(vec)[1]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector has no primitive form")

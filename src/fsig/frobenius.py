@@ -327,19 +327,37 @@ class HKIdentity(NamedTuple):
     equal: bool
 
 
-def hk_difference_identity(emb: FullEmbedding, t: int, q: int) -> HKIdentity:
-    """Check that the colength difference reproduces the free rank a_q.
+class HKColengths(NamedTuple):
+    mu: Vector
+    not_dividing: int
+    with_witness: int
 
-    lhs is the colength of the q-th Frobenius power of the not-dividing
-    ideal at level t minus the colength after adjoining t*mu; rhs is
-    count_aq.  The two agree for every q >= 1 and t >= 1.
+
+def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) -> HKColengths:
+    """The socle witness mu and the two colengths of the difference identity.
+
+    not_dividing is the colength of the q-th Frobenius power of the
+    not-dividing ideal at level t; with_witness is the colength after
+    adjoining t*mu.  budget caps each colength enumeration.
     """
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")
-    witness = socle_witness(emb)
-    ideal = MonomialIdeal.not_dividing(witness.mu, t)
-    enlarged = ideal + MonomialIdeal.generated_by([vscale(t, witness.mu)])
-    lhs = hk_colength(emb, ideal, q) - hk_colength(emb, enlarged, q)
+    mu = socle_witness(emb).mu
+    ideal = MonomialIdeal.not_dividing(mu, t)
+    enlarged = ideal + MonomialIdeal.generated_by([vscale(t, mu)])
+    return HKColengths(
+        mu, hk_colength(emb, ideal, q, budget=budget), hk_colength(emb, enlarged, q, budget=budget)
+    )
+
+
+def hk_difference_identity(emb: FullEmbedding, t: int, q: int) -> HKIdentity:
+    """Check that the colength difference reproduces the free rank a_q.
+
+    lhs is hk_colengths' not_dividing minus with_witness; rhs is count_aq.
+    The two agree for every q >= 1 and t >= 1.
+    """
+    colengths = hk_colengths(emb, t, q)
+    lhs = colengths.not_dividing - colengths.with_witness
     rhs = count_aq(emb, q).a_q
     return HKIdentity(lhs, rhs, lhs == rhs)
 

@@ -94,6 +94,28 @@ class TestHkCommand:
         assert doc["difference"] == doc["a_q"]
         assert doc["identity_holds"] is True
 
+    def test_json_matches_library(self, veronese22_file, capsys):
+        from fsig.cone import full_embedding
+        from fsig.families import veronese_generators
+        from fsig.frobenius import hk_colengths, hk_difference_identity
+        from fsig.semigroup import build_context
+
+        assert main(["hk", veronese22_file, "--q", "3", "--t", "2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        emb = full_embedding(build_context(veronese_generators(2, 2)))
+        colengths = hk_colengths(emb, 2, 3)
+        assert doc["witness_mu"] == list(colengths.mu)
+        assert (doc["colength_not_dividing"], doc["colength_with_witness"]) == colengths[1:]
+        identity = hk_difference_identity(emb, 2, 3)
+        assert (doc["difference"], doc["a_q"], doc["identity_holds"]) == identity
+
+    def test_budget_reaches_the_colength(self, veronese22_file, capsys):
+        assert main(["hk", veronese22_file, "--q", "3", "--budget", "1"]) == 4
+
+    @pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "2", "--t", "0"]])
+    def test_nonpositive_q_or_t_exit_2(self, veronese22_file, capsys, flags):
+        assert main(["hk", veronese22_file, *flags]) == 2
+
 
 class TestCheckNormalCommand:
     def test_normal_input(self, veronese22_file, capsys):
@@ -104,6 +126,11 @@ class TestCheckNormalCommand:
         path = write_doc(tmp_path / "gap.json", 2, [[2, 0], [0, 1], [1, 1]])
         assert main(["check-normal", path, "--bound", "4"]) == 3
         assert "(1, 0)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_bound_exit_2(self, veronese22_file, capsys, bound):
+        assert main(["check-normal", veronese22_file, "--bound", bound]) == 2
+        assert "--bound" in capsys.readouterr().err
 
 
 class TestParseErrors:
@@ -130,6 +157,43 @@ class TestParseErrors:
     def test_ragged_generator(self, tmp_path, capsys):
         path = write_doc(tmp_path / "ragged.json", 2, [[1, 0, 0]])
         assert main(["signature", path]) == 2
+
+    @pytest.mark.parametrize(
+        "rank, generators, expected",
+        [
+            (2, [[1, -1]], "negative"),
+            (0, [[1, 0]], "ambient rank"),
+            (2, [], "at least one generator"),
+        ],
+    )
+    def test_presentation_checks_are_parse_errors(
+        self, tmp_path, capsys, rank, generators, expected
+    ):
+        path = write_doc(tmp_path / "bad.json", rank, generators)
+        assert main(["signature", path]) == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ambient_rank", True),
+            ("format_version", True),
+            ("generators", [[True, 0], [0, 1]]),
+            ("generators", [[1, 0], "01"]),
+        ],
+    )
+    def test_booleans_and_non_integers_rejected(self, tmp_path, capsys, field, value):
+        doc = {"format_version": 1, "ambient_rank": 2, "generators": [[1, 0], [0, 1]], field: value}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["signature", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_boolean_rank_and_version_together(self, tmp_path, capsys):
+        path = tmp_path / "bools.json"
+        path.write_text('{"format_version": true, "ambient_rank": true, "generators": [[1]]}')
+        assert main(["signature", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSelftest:

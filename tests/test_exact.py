@@ -13,9 +13,11 @@ from fsig.exact import (
     extended_gcd_vector,
     hermite_basis,
     hermite_basis_with_transform,
+    independent_rows,
     lattice_points_in_box,
     matrix_rank,
     primitive_vector,
+    rational_determinant,
     scaled_inverse,
     solve_integer_combination,
     solve_linear_system,
@@ -134,6 +136,99 @@ class TestDeterminant:
             assert determinant(IntegerMatrix(product)) == determinant(
                 IntegerMatrix(tuple(map(tuple, a)))
             ) * determinant(IntegerMatrix(tuple(map(tuple, b))))
+
+
+def minor_rank(rows):
+    """Independent oracle: the largest k with a nonzero k x k minor."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for r in itertools.combinations(range(len(rows)), k):
+            for c in itertools.combinations(range(ncols), k):
+                if cofactor_determinant([[rows[i][j] for j in c] for i in r]):
+                    return k
+    return 0
+
+
+def greedy_independent_rows(rows):
+    """Independent oracle: take row i iff it raises the rank of the rows taken so far."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if minor_rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+def small_int(rng):
+    return rng.choice((0, 0, 0, 1, -1, 2, -2, 3))
+
+
+def small_fraction(rng):
+    return Fraction(small_int(rng), rng.randint(1, 4))
+
+
+def degenerate_matrix(rng, entry, nrows, ncols):
+    """Random rows with, now and then, a zero column, a duplicated row and a
+    row that is a combination of two others."""
+    rows = [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and ncols and rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if nrows >= 2 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    if nrows >= 3 and rng.random() < 0.3:
+        i, j, k = rng.sample(range(nrows), 3)
+        c = entry(rng)
+        rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+class TestFractionFreeElimination:
+    """matrix_rank, determinant, rational_determinant and independent_rows
+    share one elimination; each is compared with an oracle written here."""
+
+    @pytest.mark.parametrize("entry", [small_int, small_fraction])
+    def test_matrix_rank_matches_minor_rank(self, entry):
+        rng = random.Random(2024)
+        for _ in range(150):
+            rows = degenerate_matrix(rng, entry, rng.randint(0, 5), rng.randint(1, 5))
+            assert matrix_rank(rows) == minor_rank(rows), rows
+
+    def test_matrix_rank_edge_cases(self):
+        assert matrix_rank([]) == 0
+        assert matrix_rank([(0, 0, 0), (0, 0, 0)]) == 0
+        assert matrix_rank([(0, 1), (0, 2), (0, 3)]) == 1
+        assert matrix_rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+        assert matrix_rank([(0, 0, 1), (0, 1, 0), (1, 0, 0)]) == 3
+
+    def test_determinant_matches_cofactor_with_swaps(self):
+        rng = random.Random(2025)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            rows = degenerate_matrix(rng, small_int, n, n)
+            assert determinant(IntegerMatrix(tuple(map(tuple, rows)))) == cofactor_determinant(rows)
+        assert determinant(IntegerMatrix(((0, 1), (1, 0)))) == -1
+        assert determinant(IntegerMatrix(((0, 0, 1), (0, 1, 0), (1, 0, 0)))) == -1
+        assert determinant(IntegerMatrix(())) == 1
+
+    def test_rational_determinant_matches_cofactor(self):
+        rng = random.Random(2026)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            rows = degenerate_matrix(rng, small_fraction, n, n)
+            assert rational_determinant(rows) == cofactor_determinant(rows), rows
+        assert rational_determinant([]) == 1
+        assert rational_determinant([[Fraction(1, 2), 1], [Fraction(1, 3), 0]]) == Fraction(-1, 3)
+        with pytest.raises(ValueError):
+            rational_determinant([[1, 2]])
+
+    def test_independent_rows_match_greedy_prefix_rule(self):
+        rng = random.Random(2027)
+        for _ in range(150):
+            rows = degenerate_matrix(rng, small_int, rng.randint(1, 7), rng.randint(1, 4))
+            assert independent_rows(rows) == greedy_independent_rows(rows), rows
+        assert independent_rows([]) == []
+        assert independent_rows([(0, 0), (1, 1), (2, 2), (0, 1), (5, 7)]) == [1, 3]
 
 
 def matmul(a, b):
