@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=5_000_000,
-        help="cap on enumerated points per colength (exit 4 when exceeded)",
+        help="cap on the points counted per colength (exit 4 when exceeded)",
     )
     add_common(p)
     p.set_defaults(handler=cmd_hk)

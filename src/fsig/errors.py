@@ -47,7 +47,7 @@ class Unbounded(PreconditionError):
 
 
 class NotPrimary(PreconditionError):
-    """A colength enumeration detected an infinite quotient."""
+    """A colength count detected an infinite quotient."""
 
 
 class InvalidParams(PreconditionError):
@@ -59,4 +59,4 @@ class NonNormalInput(PreconditionError):
 
 
 class BudgetExceeded(BudgetError):
-    """Brute-force enumeration frontier exceeded its configured cap."""
+    """An enumeration or a count exceeded its configured cap."""

@@ -408,3 +408,121 @@ def lattice_points_in_box(basis: IntegerMatrix, bounds: Sequence[int]) -> Iterat
                     point[j] -= c * row[j]
 
     yield from rec(0)
+
+
+def count_lattice_points(
+    basis: IntegerMatrix,
+    bounds: Sequence[int],
+    avoid: Sequence[Sequence[int]] = (),
+    limit: int | None = None,
+) -> int:
+    """Number of row-lattice points in prod [0, bounds[j]] dominating no avoid vector.
+
+    A point dominates v when it is componentwise at least v.  The basis must
+    be in Hermite form.  The first d-1 coefficients are iterated pivot by
+    pivot, pruned by the box as in lattice_points_in_box.  Coordinate j is
+    final once the last row with a nonzero entry in column j has its
+    coefficient fixed; then the box is checked there, an avoid vector the
+    coordinate falls below is dropped, and the branch is empty once a
+    surviving avoid vector has all its positive entries in final
+    coordinates.  The coordinates left open by the first d-1 coefficients are
+    affine in the last one, c, so the box cuts out one interval of c and
+    each surviving avoid vector another: the count is the box interval minus
+    the union of the avoid intervals.
+
+    With limit set, counting stops once the running count passes it, and the
+    returned number is then some count above limit.
+    """
+    bounds = [int(b) for b in bounds]
+    ncols = len(bounds)
+    avoid = [tuple(int(x) for x in v) for v in avoid]
+    if any(len(v) != ncols for v in avoid):
+        raise ValueError("avoid vector length does not match the box")
+    if any(b < 0 for b in bounds):
+        return 0
+    d = basis.nrows
+    if d and basis.ncols != ncols:
+        raise ValueError("bounds length does not match basis width")
+    rows = basis.rows
+    pivots = _pivot_columns(basis)
+    # level[j]: the last row with a nonzero entry in column j, -1 for none.
+    level = [max((k for k in range(d) if rows[k][j]), default=-1) for j in range(ncols)]
+    final = [[j for j in range(ncols) if level[j] == k and j != p] for k, p in enumerate(pivots)]
+    # Each avoid vector with the level at which its last positive entry
+    # becomes final; coordinates of level -1 are 0.
+    live = []
+    for v in avoid:
+        end = max((level[j] for j, x in enumerate(v) if x > 0), default=-1)
+        if all(x <= 0 for x, lev in zip(v, level) if lev < 0):
+            if end < 0:
+                return 0
+            live.append((v, end))
+    if d == 0:
+        return 1
+    # The last coefficient c moves its pivot coordinate and the other columns
+    # of final[d - 1], by s_j each; split those by the sign of s_j.
+    last = pivots[-1]
+    step = rows[-1][last]
+    rising = [(j, rows[-1][j]) for j in final[-1] if rows[-1][j] > 0]
+    falling = [(j, -rows[-1][j]) for j in final[-1] if rows[-1][j] < 0]
+    total, cap = 0, float("inf") if limit is None else limit
+
+    def count_last(point: list[int], live) -> int:
+        lo, hi = -(point[last] // step), (bounds[last] - point[last]) // step
+        for j, s in rising:
+            lo, hi = max(lo, -(point[j] // s)), min(hi, (bounds[j] - point[j]) // s)
+        for j, s in falling:
+            lo, hi = max(lo, -((bounds[j] - point[j]) // s)), min(hi, point[j] // s)
+        if lo > hi:
+            return 0
+        if not live:
+            return hi - lo + 1
+        cuts = []  # per live v, the c in [lo, hi] whose point dominates v
+        for v, _ in live:
+            vlo, vhi = max(lo, -((point[last] - v[last]) // step)), hi
+            for j, s in rising:
+                vlo = max(vlo, -((point[j] - v[j]) // s))
+            for j, s in falling:
+                vhi = min(vhi, (point[j] - v[j]) // s)
+            if vlo <= vhi:
+                cuts.append((vlo, vhi))
+        covered, reach = 0, lo - 1
+        for vlo, vhi in sorted(cuts):
+            if vhi > reach:
+                covered += vhi - max(vlo, reach + 1) + 1
+                reach = vhi
+        return hi - lo + 1 - covered
+
+    def rec(k: int, point: list[int], live) -> None:
+        nonlocal total
+        row, p, others = rows[k], pivots[k], final[k]
+        step = row[p]
+        # The pivot coordinate grows with c, so the vectors it passes are a
+        # growing prefix of live sorted by their pivot entry.
+        live = sorted(live, key=lambda item: item[0][p])
+        passed, least_end = 0, d
+        for c in range(-(point[p] // step), (bounds[p] - point[p]) // step + 1):
+            moved = point[:p] + [a + c * s for a, s in zip(point[p:], row[p:])]
+            if others and not all(0 <= moved[j] <= bounds[j] for j in others):
+                continue
+            while passed < len(live) and live[passed][0][p] <= moved[p]:
+                least_end = min(least_end, live[passed][1])
+                passed += 1
+            kept = live[:passed]
+            if others:
+                kept = [item for item in kept if all(moved[j] >= item[0][j] for j in others)]
+                if kept and min(end for _, end in kept) <= k:
+                    continue
+            elif least_end <= k:
+                break  # some vector is dominated by every point of this and later branches
+            if k + 2 < d:
+                rec(k + 1, moved, kept)
+            else:
+                total += count_last(moved, kept)
+            if total > cap:
+                return
+
+    if d == 1:
+        return count_last([0] * ncols, live)
+    rec(0, [0] * ncols, live)
+    return total

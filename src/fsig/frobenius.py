@@ -5,7 +5,11 @@ points in the box [0, q-1]^n: fullness turns divisibility inside the
 semigroup into componentwise comparison, so counting semigroup elements
 reduces to counting lattice points.  The same comparison drives the
 colength counts: a monomial lies in a monomial ideal exactly when it
-componentwise dominates q times one of the ideal's minimal generators.
+componentwise dominates q times one of the ideal's minimal generators, so a
+colength is the number of image-group points in N^n that dominate none of
+them.  Both are counted by exact.count_lattice_points, never enumerated.
+Like f_signature, both count the image group inside N^n, which is the
+semigroup of a normal input and the normalization of any other.
 
 q is accepted as any positive integer, not only a prime power: everything
 computed here is lattice combinatorics, and the identities it verifies hold
@@ -21,6 +25,7 @@ from .errors import BudgetExceeded, NotPrimary
 from .exact import (
     IntegerMatrix,
     Vector,
+    count_lattice_points,
     express_in_basis,
     lattice_points_in_box,
     solve_integer_combination,
@@ -42,14 +47,12 @@ class FrobeniusCount:
 def count_aq(emb: FullEmbedding, q: int) -> FrobeniusCount:
     """Exact a_q: image-group points with every coordinate below q.
 
-    Enumerates lattice coset representatives against the Hermite basis of
-    the image group, pruning by the box bounds.
+    Counts against the Hermite basis of the image group with
+    count_lattice_points, the last coefficient in closed form.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    n = emb.num_coordinates
-    bounds = (q - 1,) * n
-    count = sum(1 for _ in lattice_points_in_box(emb.image_lattice, bounds))
+    count = count_lattice_points(emb.image_lattice, (q - 1,) * emb.num_coordinates)
     return FrobeniusCount(q, count, Fraction(count, q**emb.rank))
 
 
@@ -245,79 +248,49 @@ def hk_colength(
 ) -> int:
     """Colength of the q-th Frobenius power of an m-primary monomial ideal.
 
-    Counts the semigroup elements outside the ideal by closure search from
-    0: the ideal is an up-set under componentwise order, so a branch can be
-    pruned as soon as it enters the ideal.  A structurally non-primary ideal
-    (no generator supported inside some generator direction) raises
-    NotPrimary up front; a finite but oversized count raises BudgetExceeded.
+    The colength is the number of image-group points in N^n that dominate
+    no Frobenius generator F (q times a minimal generator), counted by
+    count_lattice_points over an explicit box; for a non-normal input that
+    is the colength in its normalization.  The count stops with
+    BudgetExceeded once it passes budget.
 
-    Points are packed into single integers, one field per coordinate, so
-    that componentwise domination becomes a borrow test.  Every expanded
-    point lies on a chain of at most budget generator steps from 0, so the
-    field width is taken from (budget + 1) times the largest step coordinate
-    and from the largest Frobenius-generator coordinate, plus a borrow bit.
+    The box comes from the extreme directions g of the cone: the generator
+    images of minimal support, one per support.  For each g, k_g is the least
+    max_j ceil(F_j / g_j) over the F with supp F inside supp g (0 for F = 0,
+    the unit ideal); if there is no such F, no multiple of g enters the
+    ideal, the quotient is infinite and NotPrimary is raised.  Every cone
+    point x is a sum of lambda_g g with all lambda_g >= 0, and if some
+    lambda_g >= k_g then x >= k_g g >= F componentwise.  So a point outside
+    the ideal has every lambda_g < k_g, and since every coordinate j has an
+    extreme g with g_j > 0, x_j < sum_g k_g g_j: the box is
+    prod [0, sum_g k_g g_j - 1].
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
     power = q * ideal.frobenius_power
     frobenius_gens = [vscale(power, g) for g in ideal.minimal_generators(emb)]
-    if not frobenius_gens:
-        raise NotPrimary("the zero ideal has infinite colength")
-
-    n = emb.num_coordinates
-    # m-primality: along every generator direction some multiple must enter
-    # the ideal, which needs an ideal generator supported inside that
-    # direction's support; otherwise the complement is infinite.
-    for g in emb.image_generators:
-        support = {j for j in range(n) if g[j]}
-        if not any(
-            all(j in support for j in range(n) if f[j]) for f in frobenius_gens
-        ):
+    supports = {frozenset(j for j, x in enumerate(g) if x): g for g in emb.image_generators}
+    box = [-1] * emb.num_coordinates
+    for support, g in supports.items():
+        if any(other < support for other in supports):
+            continue
+        multiples = [
+            max((-(-f[j] // g[j]) for j in support), default=0)
+            for f in frobenius_gens
+            if all(j in support for j, x in enumerate(f) if x)
+        ]
+        if not multiples:
             raise NotPrimary(
                 f"no ideal generator is supported inside direction {g}; "
                 "the quotient is not finite"
             )
-    max_step = max(max(g) for g in emb.image_generators)
-    largest = max((budget + 1) * max_step, max(max(f) for f in frobenius_gens))
-    bits = largest.bit_length() + 1
-
-    def pack(v: Vector) -> int:
-        return sum(x << (bits * j) for j, x in enumerate(v))
-
-    high = sum(1 << (bits * j + bits - 1) for j in range(n))
-    packed_gens = [pack(g) for g in frobenius_gens]
-    steps = [pack(g) for g in emb.image_generators]
-
-    def in_ideal(key: int) -> bool:
-        # key dominates g componentwise iff no field borrows: with the high
-        # bit of every field set on the minuend, each field subtracts
-        # independently and keeps its high bit exactly when key_j >= g_j.
-        base = key | high
-        for g in packed_gens:
-            if (base - g) & high == high:
-                return True
-        return False
-
-    if in_ideal(0):
-        return 0
-    seen = {0}
-    frontier = [0]
-    count = 0
-    while frontier:
-        point = frontier.pop()
-        count += 1
-        for g in steps:
-            nxt = point + g
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if len(seen) > budget:
-                raise BudgetExceeded(
-                    f"colength enumeration exceeded {budget} points; "
-                    "the quotient is finite but beyond the configured budget"
-                )
-            if not in_ideal(nxt):
-                frontier.append(nxt)
+        box = [b + min(multiples) * x for b, x in zip(box, g)]
+    count = count_lattice_points(emb.image_lattice, box, frobenius_gens, limit=budget)
+    if count > budget:
+        raise BudgetExceeded(
+            f"colength count exceeded {budget} points; "
+            "the quotient is finite but beyond the configured budget"
+        )
     return count
 
 
@@ -338,7 +311,8 @@ def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) ->
 
     not_dividing is the colength of the q-th Frobenius power of the
     not-dividing ideal at level t; with_witness is the colength after
-    adjoining t*mu.  budget caps each colength enumeration.
+    adjoining t*mu.  budget caps each colength: BudgetExceeded is raised
+    once a count passes it.
     """
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")

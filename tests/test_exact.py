@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from fsig.cone import full_embedding
 from fsig.exact import (
     IntegerMatrix,
+    count_lattice_points,
     determinant,
     express_in_basis,
     extended_gcd_vector,
@@ -22,6 +24,8 @@ from fsig.exact import (
     solve_integer_combination,
     solve_linear_system,
 )
+from fsig.families import segre_generators, veronese_generators
+from fsig.semigroup import build_context
 
 
 def brute_force_in_span(v, rows, coeff_bound=8):
@@ -374,6 +378,101 @@ class TestLatticePointsInBox:
     def test_rank_zero_lattice(self):
         basis = hermite_basis(IntegerMatrix(((0, 0),)))
         assert list(lattice_points_in_box(basis, (3, 3))) == [(0, 0)]
+
+
+def counted_by_enumeration(basis, bounds, avoid=()):
+    """Oracle for count_lattice_points: enumerate the box, drop dominating points."""
+    return sum(
+        1
+        for u in lattice_points_in_box(basis, bounds)
+        if not any(all(a >= b for a, b in zip(u, v)) for v in avoid)
+    )
+
+
+# Hermite bases with negative and zero entries after the last pivot, and with
+# columns that only an earlier row reaches.
+HAND_MADE_BASES = (
+    ((1, 0, 2, 1, 0), (0, 3, -2, 0, 1)),
+    ((2, 1, 1, 0, 1), (0, 0, 2, -3, 0)),
+    ((1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 0)),
+    ((1, 2, 0, 2), (0, 3, 1, -1)),
+    ((0, 1, 1, 2), (0, 0, 2, -1)),
+    ((1, 0, 3, 3), (0, 1, -1, -2)),
+)
+
+
+class TestCountLatticePoints:
+    @pytest.mark.parametrize("rows", HAND_MADE_BASES)
+    def test_hand_made_bases_match_enumeration(self, rows):
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        rng = random.Random(2718)
+        n = basis.ncols
+        for _ in range(40):
+            bounds = tuple(rng.randint(0, 9) for _ in range(n))
+            avoid = [tuple(rng.randint(-1, 5) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+            enumerated = len(list(lattice_points_in_box(basis, bounds)))
+            assert count_lattice_points(basis, bounds) == enumerated
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+
+    def test_random_bases_match_enumeration(self):
+        rng = random.Random(1707)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            nrows = rng.randint(1, 4)
+            rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(nrows))
+            basis = hermite_basis(IntegerMatrix(rows))
+            bounds = tuple(rng.randint(0, 5) for _ in range(n))
+            avoid = [tuple(rng.randint(-1, 5) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+
+    def test_rank_zero_lattice(self):
+        basis = hermite_basis(IntegerMatrix(((0, 0),)))
+        assert count_lattice_points(basis, (3, 3)) == 1
+        assert count_lattice_points(basis, (3, 3), [(1, 0)]) == 1
+        assert count_lattice_points(basis, (3, 3), [(0, 0)]) == 0
+        assert count_lattice_points(basis, (3, 3), [(-1, 0)]) == 0
+
+    def test_negative_bound_is_empty(self):
+        basis = IntegerMatrix(HAND_MADE_BASES[0])
+        for bounds in ((-1, 4, 4, 4, 4), (4, 4, 4, 4, -2)):
+            assert count_lattice_points(basis, bounds) == 0
+            assert counted_by_enumeration(basis, bounds) == 0
+        assert count_lattice_points(hermite_basis(IntegerMatrix(((0, 0),))), (0, -1)) == 0
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [
+            segre_generators(2, 2),
+            segre_generators(2, 3),
+            veronese_generators(3, 2),
+            veronese_generators(2, 4),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_corpus_embeddings_match_enumeration(self, presentation):
+        emb = full_embedding(build_context(presentation))
+        basis, n = emb.image_lattice, emb.num_coordinates
+        for q in (1, 2, 5):
+            bounds = (q - 1,) * n
+            enumerated = len(list(lattice_points_in_box(basis, bounds)))
+            assert count_lattice_points(basis, bounds) == enumerated
+            avoid = [tuple(q * x for x in g) for g in emb.image_generators[:3]]
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+
+    def test_limit_stops_the_count_past_it(self):
+        basis = IntegerMatrix(HAND_MADE_BASES[2])
+        full = count_lattice_points(basis, (5, 5, 5, 5))
+        assert count_lattice_points(basis, (5, 5, 5, 5), limit=full) == full
+        for limit in (0, 1, full // 2, full - 1):
+            assert count_lattice_points(basis, (5, 5, 5, 5), limit=limit) > limit
+
+    def test_avoid_length_checked(self):
+        with pytest.raises(ValueError):
+            count_lattice_points(IntegerMatrix(((1, 1),)), (2, 2), [(1,)])
 
 
 class TestSmallHelpers:

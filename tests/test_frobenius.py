@@ -1,12 +1,15 @@
 """Free-rank counts, socle witnesses, colengths, and the difference identity."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
-from fsig.exact import express_in_basis
+from fsig.exact import express_in_basis, vadd, vscale
 from fsig.families import segre_generators, veronese_generators
 from fsig.frobenius import (
     MonomialIdeal,
@@ -14,6 +17,7 @@ from fsig.frobenius import (
     brute_force_aq,
     count_aq,
     hk_colength,
+    hk_colengths,
     hk_difference_identity,
     socle_witness,
 )
@@ -21,10 +25,89 @@ from fsig.semigroup import SemigroupPresentation, build_context
 
 FREE1 = SemigroupPresentation(1, ((1,),), name="free(1)")
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
+FREE3 = SemigroupPresentation(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="free(3)")
+SMALL_NORMAL = (
+    FREE1,
+    FREE2,
+    FREE3,
+    segre_generators(2, 2),
+    veronese_generators(2, 2),
+    veronese_generators(2, 3),
+    veronese_generators(3, 2),
+)
 
 
+@cache
 def emb_of(p):
     return full_embedding(build_context(p))
+
+
+def closure_colength(emb, ideal, q, budget=200_000):
+    """Reference colength: closure search from 0 over the generator images.
+
+    The ideal is an up-set under componentwise order, so a branch stops as
+    soon as it enters the ideal.  An ideal with no generator supported
+    inside the support of some generator image has an infinite quotient and
+    raises NotPrimary; the search counts the semigroup the generators
+    generate, which is the lattice-point count only for normal inputs.
+    """
+    power = q * ideal.frobenius_power
+    gens = [vscale(power, g) for g in ideal.minimal_generators(emb)]
+    for g in emb.image_generators:
+        if not any(all(g[j] for j, x in enumerate(f) if x) for f in gens):
+            raise NotPrimary(f"nothing in the ideal along {g}")
+
+    def in_ideal(u):
+        return any(all(a >= b for a, b in zip(u, f)) for f in gens)
+
+    zero = (0,) * emb.num_coordinates
+    if in_ideal(zero):
+        return 0
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        point = frontier.pop()
+        for g in emb.image_generators:
+            nxt = vadd(point, g)
+            if nxt not in seen and not in_ideal(nxt):
+                seen.add(nxt)
+                assert len(seen) <= budget, "closure oracle out of budget"
+                frontier.append(nxt)
+    return len(seen)
+
+
+def colength_or_not_primary(colength, emb, ideal, q):
+    try:
+        return colength(emb, ideal, q)
+    except NotPrimary:
+        return NotPrimary
+
+
+@st.composite
+def small_ideals(draw):
+    """A small normal embedding, q <= 4, and an ideal of either kind or both."""
+    emb = emb_of(draw(st.sampled_from(SMALL_NORMAL)))
+    n = emb.num_coordinates
+    images = emb.image_generators
+    parts = []
+    if draw(st.booleans()):
+        mu = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        parts.append(MonomialIdeal.not_dividing(mu, draw(st.integers(1, 2))))
+    if not parts or draw(st.booleans()):
+        combos = st.lists(st.integers(0, 2), min_size=len(images), max_size=len(images))
+        vectors = []
+        for combo in draw(st.lists(combos, max_size=3)):
+            u = (0,) * n
+            for c, g in zip(combo, images):
+                u = vadd(u, vscale(c, g))
+            vectors.append(u)
+        if draw(st.booleans()):  # a power of every generator makes it primary
+            vectors += [vscale(draw(st.integers(1, 3)), g) for g in images]
+        parts.append(MonomialIdeal.generated_by(vectors))
+    ideal = parts[0]
+    for part in parts[1:]:
+        ideal = ideal + part
+    return emb, ideal, draw(st.integers(1, 4))
 
 
 class TestCountAq:
@@ -184,6 +267,36 @@ class TestHkColength:
         emb = emb_of(FREE1)
         with pytest.raises(BudgetExceeded):
             hk_colength(emb, MonomialIdeal.generated_by([(1,)]), q, budget=1000)
+
+    def test_unit_ideal_has_colength_zero(self):
+        for p in (FREE1, FREE2, segre_generators(2, 2), veronese_generators(3, 2)):
+            emb = emb_of(p)
+            unit = MonomialIdeal.generated_by([(0,) * emb.num_coordinates])
+            assert hk_colength(emb, unit, 3) == 0
+
+    def test_zero_ideal_is_not_primary(self):
+        with pytest.raises(NotPrimary):
+            hk_colength(emb_of(FREE2), MonomialIdeal.generated_by([]), 2)
+
+    def test_non_normal_input_counts_in_the_normalization(self):
+        # (1, 0) is in the normalization N^2 but not in the semigroup: the
+        # closure from 0 counts the semigroup, the lattice count (like
+        # count_aq and f_signature) the normalization
+        emb = emb_of(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
+        colengths = hk_colengths(emb, 1, 3)
+        assert colengths[1:] == (378, 369)
+        ideal = MonomialIdeal.not_dividing(colengths.mu, 1)
+        enlarged = ideal + MonomialIdeal.generated_by([colengths.mu])
+        assert closure_colength(emb, ideal, 3) == 369
+        assert closure_colength(emb, enlarged, 3) == 360
+        assert colengths.not_dividing - colengths.with_witness == count_aq(emb, 3).a_q
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(small_ideals())
+    def test_matches_closure_oracle(self, case):
+        emb, ideal, q = case
+        got = colength_or_not_primary(hk_colength, emb, ideal, q)
+        assert got == colength_or_not_primary(closure_colength, emb, ideal, q)
 
     def test_frobenius_power_composes(self):
         emb = emb_of(FREE1)
