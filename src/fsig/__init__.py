@@ -1,18 +1,11 @@
 """Exact F-signature computation for normal affine semigroup rings.
 
 The semigroup is presented by monomial exponent vectors; every number the
-package produces is an exact integer or rational.
+package produces is an exact integer or rational.  The package namespace
+holds the pipeline and the errors; the modules hold the rest.
 """
 
-from .cone import (
-    FacetFunctional,
-    FullEmbedding,
-    dual_cone_rays,
-    extreme_rays,
-    fraction_field_witness,
-    full_embedding,
-    primitivize,
-)
+from .cone import full_embedding
 from .errors import (
     BudgetError,
     BudgetExceeded,
@@ -29,63 +22,26 @@ from .errors import (
     WitnessNotFound,
     ZeroFunctional,
 )
-from .exact import (
-    IntegerMatrix,
-    determinant,
-    express_in_basis,
-    hermite_basis,
-    lattice_points_in_box,
-)
-from .families import (
-    EulerianTable,
-    eulerian,
-    eulerian_alternating_sum,
-    eulerian_table,
-    segre_aq_closed_form,
-    segre_generators,
-    segre_signature,
-    veronese_generators,
-    veronese_signature,
-)
-from .frobenius import (
-    FrobeniusCount,
-    HKIdentity,
-    MonomialIdeal,
-    SocleWitness,
-    aq_table,
-    brute_force_aq,
-    count_aq,
-    hk_colength,
-    hk_difference_identity,
-    socle_witness,
-)
-from .semigroup import (
-    NormalityVerdict,
-    SemigroupContext,
-    SemigroupPresentation,
-    build_context,
-    check_normal,
-    is_natural_combination,
-    member,
-)
-from .signature import (
-    SignaturePolytope,
-    SignatureResult,
-    f_signature,
-    polytope_volume,
-    signature_polytope,
-)
+from .families import segre_generators, veronese_generators
+from .frobenius import brute_force_aq, count_aq, hk_difference_identity
+from .semigroup import SemigroupPresentation, build_context, check_normal
+from .signature import f_signature, polytope_volume, signature_polytope
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FacetFunctional",
-    "FullEmbedding",
-    "dual_cone_rays",
-    "extreme_rays",
-    "fraction_field_witness",
+    "SemigroupPresentation",
+    "build_context",
+    "check_normal",
     "full_embedding",
-    "primitivize",
+    "signature_polytope",
+    "polytope_volume",
+    "f_signature",
+    "count_aq",
+    "brute_force_aq",
+    "hk_difference_identity",
+    "segre_generators",
+    "veronese_generators",
     "BudgetError",
     "BudgetExceeded",
     "DegenerateCone",
@@ -100,40 +56,4 @@ __all__ = [
     "Unbounded",
     "WitnessNotFound",
     "ZeroFunctional",
-    "IntegerMatrix",
-    "determinant",
-    "express_in_basis",
-    "hermite_basis",
-    "lattice_points_in_box",
-    "EulerianTable",
-    "eulerian",
-    "eulerian_alternating_sum",
-    "eulerian_table",
-    "segre_aq_closed_form",
-    "segre_generators",
-    "segre_signature",
-    "veronese_generators",
-    "veronese_signature",
-    "FrobeniusCount",
-    "HKIdentity",
-    "MonomialIdeal",
-    "SocleWitness",
-    "aq_table",
-    "brute_force_aq",
-    "count_aq",
-    "hk_colength",
-    "hk_difference_identity",
-    "socle_witness",
-    "NormalityVerdict",
-    "SemigroupContext",
-    "SemigroupPresentation",
-    "build_context",
-    "check_normal",
-    "is_natural_combination",
-    "member",
-    "SignaturePolytope",
-    "SignatureResult",
-    "f_signature",
-    "polytope_volume",
-    "signature_polytope",
 ]

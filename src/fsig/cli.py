@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .cone import dual_cone_rays, facet_functionals, full_embedding
+from .cone import dual_cone_rays, full_embedding
 from .errors import BudgetError, ParseError, PreconditionError
 from .frobenius import aq_table, count_aq, hk_colengths
 from .semigroup import SemigroupPresentation, build_context, check_normal
@@ -297,7 +297,7 @@ def cmd_check_normal(args) -> int:
         raise ParseError("--bound must be a positive integer")
     presentation = load_document(args.file)
     ctx = build_context(presentation)
-    verdict = check_normal(ctx, facet_functionals(ctx), args.bound)
+    verdict = check_normal(ctx, full_embedding(ctx).functionals, args.bound)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -396,7 +396,7 @@ def _selftest_checks():
     def check_normality_diagnostic():
         bad = SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)))
         ctx = build_context(bad)
-        verdict = check_normal(ctx, facet_functionals(ctx), 4)
+        verdict = check_normal(ctx, full_embedding(ctx).functionals, 4)
         return not verdict.normal and verdict.counterexample == (1, 0)
 
     return [

@@ -8,22 +8,23 @@ remaining half-spaces one at a time, combining adjacent positive/negative
 ray pairs.  Two rays are adjacent iff at least dim - 2 constraints are tight
 at both and no third ray is tight on all of those (Fukuda-Prodon); tight
 sets are kept as bitmasks, so this needs no rank test.  The start rays are
-the columns of a fraction-free scaled inverse of the chosen rows, and each
-dual ray is carried to ambient coordinates through one scaled inverse of the
-lattice basis's Gram matrix, so rays are built in integer arithmetic
-throughout.
+the columns of a fraction-free scaled inverse of the chosen rows, so rays
+are built in integer arithmetic throughout.
 
-Facet functionals are normalized so that their values on the generators are
-integers with gcd 1; this makes each functional integral and primitive on
-the generated group, which in turn makes the stacked map T injective with a
-full image.  The facet list is the irredundant (minimal) one, ordered
-lexicographically by primitive ambient representative so that all
+The rows of T are the dual rays of the generator cone in lattice
+coordinates, as extreme_rays returns them.  Each is primitive and the
+generator coordinates span Z^rank, so its values on the generators are
+integers with gcd 1: each functional is integral and primitive on the
+generated group, which makes the stacked map T injective with a full image.
+The ambient form of every ray comes from one scaled inverse of the lattice
+basis's Gram matrix.  The facet list is the irredundant (minimal) one,
+ordered lexicographically by primitive ambient representative so that all
 downstream output is deterministic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegenerateCone, WitnessNotFound, ZeroFunctional
 from .exact import (
@@ -95,6 +96,31 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
     return sorted(r for r, _ in rays)
 
 
+def _facets(ctx: SemigroupContext) -> list[tuple[Vector, tuple[Fraction, ...], Vector]]:
+    """(primitive ambient ray, coefficients, lattice ray w) per facet, sorted.
+
+    w is a primitive extreme ray of the dual of the generator cone in lattice
+    coordinates.  The generator coordinates span Z^rank, so the values of w
+    on them have gcd 1: w is the facet's row of T as it stands.  The ambient
+    functional is y @ basis with gram @ y = w, so that it agrees with w on the
+    basis rows and vanishes on their orthogonal complement.  The gram matrix
+    of independent rows is positive definite, so d = det > 0, inverse @ w is
+    d * y, and the coefficients are (inverse @ w) @ basis / d.
+    """
+    if ctx.rank == 0:
+        raise DegenerateCone("generators span only the zero cone")
+    basis = ctx.lattice.rows
+    d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
+    if d <= 0:
+        raise DegenerateCone("lattice basis lost rank")
+    facets = []
+    for w in extreme_rays([tuple(c) for c in ctx.generator_coords]):
+        y = [dot(row, w) for row in inverse]
+        scaled = [dot(y, col) for col in zip(*basis)]
+        facets.append((primitive_vector(scaled), tuple(Fraction(x, d) for x in scaled), w))
+    return sorted(facets)
+
+
 def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
     """Minimal generating rays of the dual cone, in ambient coordinates.
 
@@ -102,21 +128,7 @@ def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
     as the primitive integer vector on its ray, vanishing on the orthogonal
     complement of the span of the generated group.  Sorted lexicographically.
     """
-    if ctx.rank == 0:
-        raise DegenerateCone("generators span only the zero cone")
-    rays_lattice = extreme_rays([tuple(c) for c in ctx.generator_coords])
-    # The ambient ray of a lattice functional w is y @ basis with gram @ y = w.
-    # The gram matrix of independent rows is positive definite, so d = det > 0
-    # and inverse @ w is y scaled by d, which primitive_vector removes.
-    basis = ctx.lattice.rows
-    d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
-    if d <= 0:
-        raise DegenerateCone("lattice basis lost rank")
-    ambient = []
-    for w in rays_lattice:
-        y = [dot(row, w) for row in inverse]
-        ambient.append(primitive_vector([dot(y, col) for col in zip(*basis)]))
-    return sorted(ambient)
+    return [ray for ray, _, _ in _facets(ctx)]
 
 
 @dataclass(frozen=True)
@@ -143,31 +155,6 @@ class FacetFunctional:
         object.__setattr__(self, "values_on_generators", vals)
 
 
-def primitivize(ray, ctx: SemigroupContext) -> FacetFunctional:
-    """Rescale a dual ray so that its generator values are coprime integers.
-
-    The scale is the unique positive rational making all values integers of
-    gcd 1; e.g. the ray (1, 0) over generators (2,0),(0,2) has values (2, 0)
-    and is rescaled to (1/2, 0) with values (1, 0).  The values are computed
-    in integers on the primitive form of the ray and divided by their gcd.
-    """
-    if all(x == 0 for x in ray):
-        raise ZeroFunctional("ray vanishes on every generator")
-    ray = primitive_vector(ray)
-    values = [dot(ray, g) for g in ctx.presentation.generators]
-    if all(v == 0 for v in values):
-        raise ZeroFunctional("ray vanishes on every generator")
-    if any(v < 0 for v in values):
-        raise ValueError("ray is negative on a generator")
-    g = gcd(*values)
-    return FacetFunctional(tuple(Fraction(x, g) for x in ray), tuple(v // g for v in values))
-
-
-def facet_functionals(ctx: SemigroupContext) -> tuple[FacetFunctional, ...]:
-    """The primitivized facet functionals of the generator cone, in ray order."""
-    return tuple(primitivize(r, ctx) for r in dual_cone_rays(ctx))
-
-
 @dataclass(frozen=True)
 class FullEmbedding:
     """The stacked facet functionals T, mapping the semigroup into N^n.
@@ -190,31 +177,22 @@ class FullEmbedding:
 
 
 def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
-    """Stack all primitivized facet functionals into an embedding.
+    """Stack the facet functionals into an embedding.
 
-    Verifies injectivity on the generated group (the stacked matrix has full
-    column rank) and nonnegativity of the generator images.
+    The rows of T are the lattice rays of the dual cone; their values on
+    the generator coordinates are the generator images.  Verifies
+    injectivity on the generated group (T has full column rank) and
+    nonnegativity of the generator images.
     """
-    functionals = facet_functionals(ctx)
-    t_rows = []
-    for f in functionals:
-        # integer numerators over one denominator: each value is an exact quotient
-        scale = lcm(*(c.denominator for c in f.coefficients))
-        ints = [c.numerator * (scale // c.denominator) for c in f.coefficients]
-        row = []
-        for basis_row in ctx.lattice.rows:
-            val, rem = divmod(dot(ints, basis_row), scale)
-            if rem:  # integral on the group by construction
-                raise DegenerateCone("functional is not integral on the lattice")
-            row.append(val)
-        t_rows.append(tuple(row))
-    matrix_t = IntegerMatrix(tuple(t_rows))
+    facets = _facets(ctx)
+    matrix_t = IntegerMatrix(tuple(w for _, _, w in facets))
     if matrix_rank(matrix_t.rows) != ctx.rank:
         raise DegenerateCone("stacked functionals do not separate the lattice")
-    images = tuple(
-        tuple(f.values_on_generators[k] for f in functionals)
-        for k in range(len(ctx.presentation.generators))
+    functionals = tuple(
+        FacetFunctional(coefficients, tuple(dot(w, c) for c in ctx.generator_coords))
+        for _, coefficients, w in facets
     )
+    images = tuple(zip(*(f.values_on_generators for f in functionals)))
     image_lattice = hermite_basis(matrix_t.transpose())
     return FullEmbedding(functionals, matrix_t, images, image_lattice, ctx.rank)
 

@@ -71,10 +71,6 @@ def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
-def is_zero_vector(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
 def _hermite_rows(rows, track):
     """Shared HNF worker; returns (basis rows, transform rows or None)."""
     work = [list(r) for r in rows]

@@ -5,7 +5,6 @@ Eulerian numbers in both their recursive and alternating-sum forms.  All
 values are exact.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -43,18 +42,6 @@ def eulerian_alternating_sum(d: int, s: int) -> int:
     if d < 1:
         raise ValueError("d must be a positive integer")
     return sum((-1) ** i * binomial(d + 1, i) * (s - i) ** d for i in range(s + 1))
-
-
-@dataclass(frozen=True)
-class EulerianTable:
-    """Row d of the Eulerian triangle: values[s-1] = A(d, s) for 1 <= s <= d."""
-
-    d: int
-    values: tuple[int, ...]
-
-
-def eulerian_table(d: int) -> EulerianTable:
-    return EulerianTable(d, tuple(eulerian(d, s) for s in range(1, d + 1)))
 
 
 def segre_generators(r: int, s: int) -> SemigroupPresentation:

@@ -163,18 +163,13 @@ class ExplicitGenerators:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial (semigroup) ideal, as a sum of atoms, with a Frobenius power.
+    """A monomial (semigroup) ideal, as a sum of atoms.
 
     Membership of u in the ideal's q-th Frobenius power is: u componentwise
     dominates q times some minimal generator.
     """
 
     atoms: tuple
-    frobenius_power: int = 1
-
-    def __post_init__(self):
-        if self.frobenius_power < 1:
-            raise ValueError("frobenius power must be a positive integer")
 
     @staticmethod
     def not_dividing(mu: Sequence[int], t: int) -> "MonomialIdeal":
@@ -192,17 +187,10 @@ class MonomialIdeal:
         )
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.frobenius_power != other.frobenius_power:
-            raise ValueError("cannot add ideals with different Frobenius powers")
-        return MonomialIdeal(self.atoms + other.atoms, self.frobenius_power)
-
-    def frobenius(self, q: int) -> "MonomialIdeal":
-        if q < 1:
-            raise ValueError("q must be a positive integer")
-        return MonomialIdeal(self.atoms, self.frobenius_power * q)
+        return MonomialIdeal(self.atoms + other.atoms)
 
     def minimal_generators(self, emb: FullEmbedding) -> tuple[Vector, ...]:
-        """Minimal monomial generating set, before the Frobenius power.
+        """Minimal monomial generating set.
 
         For a NotDividing atom the minimal generators are the minimal
         semigroup elements u with u not componentwise below t*mu; each such
@@ -267,8 +255,7 @@ def hk_colength(
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    power = q * ideal.frobenius_power
-    frobenius_gens = [vscale(power, g) for g in ideal.minimal_generators(emb)]
+    frobenius_gens = [vscale(q, g) for g in ideal.minimal_generators(emb)]
     supports = {frozenset(j for j, x in enumerate(g) if x): g for g in emb.image_generators}
     box = [-1] * emb.num_coordinates
     for support, g in supports.items():
@@ -317,8 +304,10 @@ def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) ->
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")
     mu = socle_witness(emb).mu
-    ideal = MonomialIdeal.not_dividing(mu, t)
-    enlarged = ideal + MonomialIdeal.generated_by([vscale(t, mu)])
+    # one walk of the not-dividing box serves both ideals
+    gens = MonomialIdeal.not_dividing(mu, t).minimal_generators(emb)
+    ideal = MonomialIdeal.generated_by(gens)
+    enlarged = MonomialIdeal.generated_by(gens + (vscale(t, mu),))
     return HKColengths(
         mu, hk_colength(emb, ideal, q, budget=budget), hk_colength(emb, enlarged, q, budget=budget)
     )

@@ -8,9 +8,7 @@ counts are expressed.
 Membership below is only meaningful for normal semigroups; normality itself
 is an assumption of the signature pipeline, and check_normal certifies it up
 to a finite bound only.  It closes the generators inside the box once per
-call and compares that set with the group-and-cone points of the box;
-is_natural_combination decides one point by its own search and serves as an
-independent check of it.
+call and compares that set with the group-and-cone points of the box.
 """
 
 from dataclasses import dataclass
@@ -100,34 +98,6 @@ def member(ctx: SemigroupContext, facets: Sequence, v: Sequence[int]) -> bool:
     if express_in_basis(v, ctx.lattice) is None:
         return False
     return all(dot(f.coefficients, v) >= 0 for f in facets)
-
-
-def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bool:
-    """Whether v is a sum of generators with nonnegative integer multiplicities.
-
-    Depth-first search with componentwise dominance pruning; terminates
-    because generators are nonzero and nonnegative.
-    """
-    target = tuple(int(x) for x in v)
-    if any(x < 0 for x in target):
-        return False
-    cache: dict[Vector, bool] = {}
-
-    def reach(u: Vector) -> bool:
-        if all(x == 0 for x in u):
-            return True
-        hit = cache.get(u)
-        if hit is not None:
-            return hit
-        cache[u] = False  # cuts revisits along the current search path
-        for g in generators:
-            w = tuple(a - b for a, b in zip(u, g))
-            if all(x >= 0 for x in w) and reach(w):
-                cache[u] = True
-                return True
-        return False
-
-    return reach(target)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsig.cone import dual_cone_rays, full_embedding, primitivize
+from fsig.cone import full_embedding
 from fsig.errors import PreconditionError
 from fsig.families import (
     segre_aq_closed_form,
@@ -102,7 +102,7 @@ def _random_normal_presentations(count=20, seed=20250811):
         try:
             p = SemigroupPresentation(r, tuple(sorted(gens)))
             ctx = build_context(p)
-            facets = tuple(primitivize(ray, ctx) for ray in dual_cone_rays(ctx))
+            facets = full_embedding(ctx).functionals
             if ctx.rank > 3:
                 continue
             if check_normal(ctx, facets, 6).normal:

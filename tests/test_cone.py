@@ -13,9 +13,7 @@ from fsig.cone import (
     extreme_rays,
     fraction_field_witness,
     full_embedding,
-    primitivize,
 )
-from fsig.errors import ZeroFunctional
 from fsig.exact import (
     dot,
     express_in_basis,
@@ -24,8 +22,10 @@ from fsig.exact import (
     solve_linear_system,
 )
 from fsig.families import segre_generators, veronese_generators
-from fsig.semigroup import SemigroupPresentation, build_context, is_natural_combination
+from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import f_signature
+
+from oracles import is_natural_combination
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 RESCALED = SemigroupPresentation(2, ((2, 0), (0, 2)), name="rescaled")
@@ -172,32 +172,52 @@ class TestDualConeRays:
         assert rays == [(-1, 3, 1, 1), (1, 1, -1, 3), (1, 1, 3, -1), (3, -1, 1, 1)]
 
 
-class TestPrimitivize:
-    def test_already_primitive(self):
-        ctx = build_context(veronese_generators(2, 2))
-        f = primitivize((1, 0), ctx)
-        assert f.values_on_generators == (2, 1, 0)
-        assert f.coefficients == (Fraction(1), Fraction(0))
-
-    def test_rescaling_to_half(self):
-        ctx = build_context(RESCALED)
-        f = primitivize((1, 0), ctx)
-        assert f.coefficients == (Fraction(1, 2), Fraction(0))
-        assert f.values_on_generators == (1, 0)
-
-    def test_scalar_multiple_collapses(self):
-        ctx = build_context(FREE2)
-        f = primitivize((3, 0), ctx)
-        assert f.coefficients == (Fraction(1), Fraction(0))
-        assert f.values_on_generators == (1, 0)
-
-    def test_zero_ray_rejected(self):
-        ctx = build_context(FREE2)
-        with pytest.raises(ZeroFunctional):
-            primitivize((0, 0), ctx)
+def random_presentations(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.randint(2, 4)
+        gens = {tuple(rng.randint(0, 3) for _ in range(r)) for _ in range(rng.randint(2, 6))}
+        gens.discard((0,) * r)
+        if gens:
+            out.append(SemigroupPresentation(r, tuple(sorted(gens)), f"random-{len(out)}"))
+    return out
 
 
 class TestFullEmbedding:
+    @pytest.mark.parametrize(
+        "presentation, facets",
+        [
+            (RESCALED, [((0, Fraction(1, 2)), (0, 1)), ((Fraction(1, 2), 0), (1, 0))]),
+            (veronese_generators(2, 2), [((0, 1), (0, 1, 2)), ((1, 0), (2, 1, 0))]),
+        ],
+        ids=["rescaled", "veronese(2,2)"],
+    )
+    def test_functionals_frozen(self, presentation, facets):
+        emb = full_embedding(build_context(presentation))
+        assert [(f.coefficients, f.values_on_generators) for f in emb.functionals] == facets
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [FREE2, RESCALED, segre_generators(2, 3), segre_generators(3, 3)]
+        + [veronese_generators(d, n) for d in (2, 3) for n in (2, 3)]
+        + random_presentations(20250811, 40),
+        ids=lambda p: p.name,
+    )
+    def test_rows_are_the_lattice_rays(self, presentation):
+        # each row of T is a primitive extreme ray of the cone of the generator
+        # coordinates, and the functional takes the same values on the
+        # generators as the row takes on their coordinates
+        ctx = build_context(presentation)
+        emb = full_embedding(ctx)
+        rows = emb.matrix_T.rows
+        assert sorted(rows) == brute_rays(list(ctx.generator_coords), ctx.rank)
+        assert all(primitive_vector(w) == w for w in rows)
+        for w, f in zip(rows, emb.functionals):
+            values = tuple(dot(w, c) for c in ctx.generator_coords)
+            assert values == f.values_on_generators
+            assert values == tuple(dot(f.coefficients, g) for g in presentation.generators)
+
     def test_rescaled_presentation_embeds_onto_unit_vectors(self):
         emb = full_embedding(build_context(RESCALED))
         assert sorted(emb.image_generators) == [(0, 1), (1, 0)]

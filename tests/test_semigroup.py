@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from fsig.cone import facet_functionals
+from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
 from fsig.exact import dot, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
@@ -15,16 +15,17 @@ from fsig.semigroup import (
     SemigroupPresentation,
     build_context,
     check_normal,
-    is_natural_combination,
     member,
 )
+
+from oracles import is_natural_combination
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 
 
 def facets_of(presentation):
     ctx = build_context(presentation)
-    return ctx, facet_functionals(ctx)
+    return ctx, full_embedding(ctx).functionals
 
 
 def per_point_check_normal(ctx, facets, bound):
