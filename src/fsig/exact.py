@@ -138,7 +138,7 @@ def hermite_basis_with_transform(m: IntegerMatrix) -> tuple[IntegerMatrix, Integ
     return IntegerMatrix(tuple(basis)), IntegerMatrix(tuple(transform))
 
 
-def _cleared(row: Sequence) -> tuple[int, list[int]]:
+def clear_denominators(row: Sequence) -> tuple[int, list[int]]:
     """(s, s * row) with s the lcm of the denominators of the int/Fraction row."""
     scale = lcm(*(x.denominator for x in row))
     return scale, [x.numerator * (scale // x.denominator) for x in row]
@@ -181,12 +181,13 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
     return pivots, sign, prev
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.nrows != m.ncols:
+def determinant(m: IntegerMatrix | Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an IntegerMatrix or of integer rows, by Bareiss."""
+    rows = m.rows if isinstance(m, IntegerMatrix) else m
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant requires a square matrix")
-    pivots, sign, last = _echelon(m.rows)
-    return sign * last if len(pivots) == m.nrows else 0
+    pivots, sign, last = _echelon(rows)
+    return sign * last if len(pivots) == len(rows) else 0
 
 
 def _pivot_columns(basis: IntegerMatrix) -> list[int]:
@@ -238,7 +239,7 @@ def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of int/Fraction rows (row scaling keeps it)."""
-    return len(_echelon([_cleared(row)[1] for row in rows])[0])
+    return len(_echelon([clear_denominators(row)[1] for row in rows])[0])
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -311,8 +312,8 @@ def rational_determinant(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("rational_determinant requires a square matrix")
-    scales, cleared = zip(*map(_cleared, rows)) if rows else ((), ())
-    return Fraction(determinant(IntegerMatrix(cleared)), prod(scales))
+    scales, cleared = zip(*map(clear_denominators, rows)) if rows else ((), ())
+    return Fraction(determinant(cleared), prod(scales))
 
 
 def primitive_vector(vec: Sequence) -> Vector:
@@ -320,7 +321,7 @@ def primitive_vector(vec: Sequence) -> Vector:
 
     Entries are ints or Fractions; the denominators are cleared in integers.
     """
-    ints = _cleared(vec)[1]
+    ints = clear_denominators(vec)[1]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector has no primitive form")

@@ -255,7 +255,12 @@ def hk_colength(
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    frobenius_gens = [vscale(q, g) for g in ideal.minimal_generators(emb)]
+    return _colength(emb, ideal.minimal_generators(emb), q, budget)
+
+
+def _colength(emb: FullEmbedding, generators: Sequence[Vector], q: int, budget: int) -> int:
+    """hk_colength of the ideal with these minimal generators, unvalidated."""
+    frobenius_gens = [vscale(q, g) for g in generators]
     supports = {frozenset(j for j, x in enumerate(g) if x): g for g in emb.image_generators}
     box = [-1] * emb.num_coordinates
     for support, g in supports.items():
@@ -306,11 +311,9 @@ def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) ->
     mu = socle_witness(emb).mu
     # one walk of the not-dividing box serves both ideals
     gens = MonomialIdeal.not_dividing(mu, t).minimal_generators(emb)
-    ideal = MonomialIdeal.generated_by(gens)
-    enlarged = MonomialIdeal.generated_by(gens + (vscale(t, mu),))
-    return HKColengths(
-        mu, hk_colength(emb, ideal, q, budget=budget), hk_colength(emb, enlarged, q, budget=budget)
-    )
+    # mu is a sum of generator images, so t*mu needs no membership test
+    enlarged = _minimalize(list(gens) + [vscale(t, mu)])
+    return HKColengths(mu, _colength(emb, gens, q, budget), _colength(emb, enlarged, q, budget))
 
 
 def hk_difference_identity(emb: FullEmbedding, t: int, q: int) -> HKIdentity:

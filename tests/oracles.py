@@ -31,3 +31,15 @@ def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bo
         return False
 
     return reach(target)
+
+
+def fraction_tight_sets(half_spaces, vertices) -> set[int]:
+    """Per half-space (a, b), the bitmask of the vertices v with a . v == b.
+
+    Evaluated on the rational vertices in Fraction arithmetic, with no
+    homogeneous coordinates.
+    """
+    return {
+        sum(1 << j for j, v in enumerate(vertices) if sum(x * y for x, y in zip(a, v)) == b)
+        for a, b in half_spaces
+    }

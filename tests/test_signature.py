@@ -1,22 +1,62 @@
 """Signature polytope vertices, exact volumes, and the signature pipeline."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from fsig.cone import full_embedding
+from fsig.cone import FullEmbedding, full_embedding
+from fsig.errors import Unbounded
+from fsig.exact import IntegerMatrix
 from fsig.families import segre_generators, segre_signature, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import (
     SignaturePolytope,
     _boundary_fan,
+    _tight_sets,
     f_signature,
     polytope_volume,
     signature_polytope,
 )
 
+from oracles import fraction_tight_sets
+
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
+
+
+def random_presentations(seed=20250811, per_cell=2):
+    """Random presentations drawn like the sig-random benchmark corpus.
+
+    Ambient rank 2-4, 2-8 distinct nonzero generators with entries <= 3, one
+    random stream per (rank, generator count) cell; many are not normal.
+    """
+    for r in (2, 3, 4):
+        for k in range(2, 9):
+            rng = random.Random(f"sig-random:{seed}:{r}:{k}")
+            for index in range(per_cell):
+                gens = set()
+                while len(gens) < k:
+                    g = tuple(rng.randint(0, 3) for _ in range(r))
+                    if any(g):
+                        gens.add(g)
+                perm = list(range(r))
+                rng.shuffle(perm)  # keeps the stream in step with the benchmark
+                yield SemigroupPresentation(r, tuple(sorted(gens)), name=f"random[{r},{k}]#{index}")
+
+
+FAMILY_MEMBERS = [segre_generators(r, s) for r in range(2, 5) for s in range(r, 9 - r)] + [
+    veronese_generators(d, n) for n, top in ((2, 6), (3, 5)) for d in range(2, top + 1)
+]
+
+
+def hand_made(vertices, half_spaces):
+    vertices = tuple(sorted(tuple(map(Fraction, v)) for v in vertices))
+    return SignaturePolytope(tuple(half_spaces), vertices, len(vertices[0]))
+
+
+def degenerate_embedding(rows):
+    return FullEmbedding((), IntegerMatrix(rows), (), IntegerMatrix(()), 2)
 
 
 def F(a, b=1):
@@ -43,6 +83,16 @@ class TestSignaturePolytope:
             (F(1), F(-1, 2)),
             (F(1), F(0)),
         )
+
+    @pytest.mark.parametrize("rows", [((1, 0), (2, 0)), ((1, 1),)], ids=str)
+    def test_rank_deficient_embedding_is_not_pointed(self, rows):
+        with pytest.raises(ValueError, match="not pointed"):
+            signature_polytope(degenerate_embedding(rows))
+
+    def test_opposite_functionals_give_a_flat_polytope(self):
+        # 0 <= x <= 1 and 0 <= -x <= 1 pin x to 0: a segment, not a polygon
+        with pytest.raises(Unbounded, match="not full-dimensional"):
+            signature_polytope(degenerate_embedding(((1, 0), (-1, 0), (0, 1))))
 
     def test_contains_origin_and_is_bounded(self):
         for pres in (FREE2, veronese_generators(3, 2), segre_generators(2, 2)):
@@ -90,21 +140,39 @@ class TestPolytopeVolume:
         assert polytope_volume(signature_polytope(emb)) == F(1, 2)
 
     @pytest.mark.parametrize(
-        "presentation",
+        "vertices,half_spaces,volume",
         [
-            FREE2,
-            veronese_generators(2, 2),
-            segre_generators(2, 2),
-            segre_generators(2, 3),
-            segre_generators(3, 4),
-            segre_generators(4, 4),
-            veronese_generators(6, 2),
+            # triangle with vertex denominators 1, 2, 3
+            ([(0, 0), (F(1, 2), 0), (0, F(1, 3))], [((-1, 0), 0), ((0, -1), 0), ((2, 3), 1)], F(1, 12)),
+            # rectangle whose far corner has denominator 6
+            (
+                [(0, 0), (F(1, 2), 0), (0, F(1, 3)), (F(1, 2), F(1, 3))],
+                [((-1, 0), 0), ((0, -1), 0), ((2, 0), 1), ((0, 3), 1)],
+                F(1, 6),
+            ),
+            # simplex with vertex denominators 1, 2, 3, 5
+            (
+                [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5))],
+                [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((2, 3, 5), 1)],
+                F(1, 180),
+            ),
         ],
-        ids=lambda p: p.name,
+        ids=["triangle", "rectangle", "simplex"],
+    )
+    def test_mixed_vertex_denominators(self, vertices, half_spaces, volume):
+        p = hand_made(vertices, half_spaces)
+        assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
+        assert polytope_volume(p) == volume
+        assert polytope_volume(p, self_check=True) == volume
+
+    @pytest.mark.parametrize(
+        "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
     )
     def test_self_check_decompositions_agree(self, presentation):
+        # the integer route against the Fraction one: tight sets and volume
         emb = full_embedding(build_context(presentation))
         p = signature_polytope(emb)
+        assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
         assert polytope_volume(p, self_check=True) == polytope_volume(p)
 
     @pytest.mark.parametrize(
