@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import families
 from .cone import dual_cone_rays, full_embedding
 from .errors import BudgetError, ParseError, PreconditionError
-from .frobenius import aq_table, count_aq, hk_colengths
+from .frobenius import count_aq, hk_colengths
 from .semigroup import SemigroupPresentation, build_context, check_normal
 from .signature import f_signature
 
@@ -47,7 +47,7 @@ def load_document(path: str) -> SemigroupPresentation:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: document must be a JSON object")
@@ -84,9 +84,12 @@ def emit_document(path: str, presentation: SemigroupPresentation) -> None:
     }
     if presentation.name is not None:
         doc["name"] = presentation.name
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _presentation_json(p: SemigroupPresentation) -> dict:
@@ -186,7 +189,7 @@ def _parse_q_list(args) -> list[int]:
 def cmd_aq(args) -> int:
     presentation = load_document(args.file)
     emb = full_embedding(build_context(presentation))
-    table = aq_table(emb, _parse_q_list(args))
+    table = [count_aq(emb, q) for q in _parse_q_list(args)]
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -220,6 +223,8 @@ def cmd_aq(args) -> int:
 def cmd_hk(args) -> int:
     if args.t < 1 or args.q < 1:
         raise ParseError("--t and --q must be positive integers")
+    if args.budget < 1:
+        raise ParseError("--budget must be a positive integer")
     presentation = load_document(args.file)
     emb = full_embedding(build_context(presentation))
     colengths = hk_colengths(emb, args.t, args.q, budget=args.budget)
@@ -272,6 +277,7 @@ def cmd_family(args) -> int:
             "parameters": [args.p1, args.p2],
             "closed_form": format_rational(closed),
             "computed": format_rational(computed),
+            **({"computed_approx": approx_str(computed)} if args.approx else {}),
             "match": closed == computed,
         }
         if args.emit:

@@ -130,14 +130,6 @@ def hermite_basis(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(tuple(basis))
 
 
-def hermite_basis_with_transform(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Hermite basis H together with an integer transform U with U @ m = H."""
-    if m.nrows < 1:
-        raise ValueError("hermite_basis requires at least one row")
-    basis, transform = _hermite_rows(m.rows, track=True)
-    return IntegerMatrix(tuple(basis)), IntegerMatrix(tuple(transform))
-
-
 def clear_denominators(row: Sequence) -> tuple[int, list[int]]:
     """(s, s * row) with s the lcm of the denominators of the int/Fraction row."""
     scale = lcm(*(x.denominator for x in row))
@@ -226,12 +218,12 @@ def express_in_basis(v: Sequence[int], basis: IntegerMatrix) -> Vector | None:
 
 def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector | None:
     """Some integer row combination a with a @ m = target, or None."""
-    basis, transform = hermite_basis_with_transform(m)
-    coeffs = express_in_basis(target, basis)
+    basis, transform = _hermite_rows(m.rows, track=True)
+    coeffs = express_in_basis(target, IntegerMatrix(tuple(basis)))
     if coeffs is None:
         return None
     a = [0] * m.nrows
-    for c, urow in zip(coeffs, transform.rows):
+    for c, urow in zip(coeffs, transform):
         if c:
             a = [x + c * y for x, y in zip(a, urow)]
     return tuple(a)

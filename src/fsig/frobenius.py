@@ -87,89 +87,42 @@ def brute_force_aq(
     return len(seen)
 
 
-@dataclass(frozen=True)
-class SoclePart:
-    """Certificate for one coordinate: a - e_i = mu_part - eta_part exactly."""
+def socle_witness(emb: FullEmbedding) -> Vector:
+    """The strictly positive witness monomial mu, in additive notation.
 
-    index: int
-    a: Vector
-    mu_part: Vector
-    eta_part: Vector
-    certificate: Vector
-
-
-@dataclass(frozen=True)
-class SocleWitness:
-    """The witness monomial mu (additive notation) with its factorization.
-
-    mu = mu0 + sum of the per-coordinate mu_parts; every coordinate of mu is
-    at least 1.
+    mu is the sum of all generator images (strictly positive in every
+    coordinate because each functional is positive somewhere) plus, for each
+    coordinate i, the positive part of an integer generator combination of
+    the smallest-exponent fraction-field certificate a - e_i of coordinate i.
     """
-
-    mu: Vector
-    mu0: Vector
-    parts: tuple[SoclePart, ...]
-
-
-def socle_witness(emb: FullEmbedding) -> SocleWitness:
-    """Construct the strictly positive witness monomial.
-
-    mu0 is the sum of all generator images (strictly positive in every
-    coordinate because each functional is positive somewhere); each further
-    factor comes from the smallest-exponent fraction-field certificate of
-    its coordinate, split into its positive and negative semigroup parts.
-    """
-    n = emb.num_coordinates
     images = emb.image_generators
-    mu0 = (0,) * n
-    for g in images:
-        mu0 = vadd(mu0, g)
     gen_matrix = IntegerMatrix(images)
-    parts = []
-    mu = mu0
-    for i in range(n):
-        a, v = fraction_field_witness(emb, i)
+    mu = tuple(map(sum, zip(*images)))
+    for i in range(emb.num_coordinates):
+        _, v = fraction_field_witness(emb, i)
         combo = solve_integer_combination(gen_matrix, v)
         if combo is None:  # v lies in the image group by construction
             raise ArithmeticError(f"certificate {v} escaped the image group")
-        mu_part = (0,) * n
-        eta_part = (0,) * n
         for c, g in zip(combo, images):
             if c > 0:
-                mu_part = vadd(mu_part, vscale(c, g))
-            elif c < 0:
-                eta_part = vadd(eta_part, vscale(-c, g))
-        parts.append(SoclePart(i, a, mu_part, eta_part, v))
-        mu = vadd(mu, mu_part)
+                mu = vadd(mu, vscale(c, g))
     if any(x < 1 for x in mu):
         raise ArithmeticError(f"witness {mu} is not strictly positive")
-    return SocleWitness(mu, mu0, tuple(parts))
-
-
-@dataclass(frozen=True)
-class NotDividing:
-    """Atom for the ideal generated by semigroup elements not dividing t*mu."""
-
-    mu: Vector
-    t: int
-
-
-@dataclass(frozen=True)
-class ExplicitGenerators:
-    """Atom for the ideal generated by an explicit list of semigroup elements."""
-
-    vectors: tuple[Vector, ...]
+    return mu
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial (semigroup) ideal, as a sum of atoms.
+    """A monomial (semigroup) ideal, as two generator tuples.
 
-    Membership of u in the ideal's q-th Frobenius power is: u componentwise
-    dominates q times some minimal generator.
+    bounds holds t*mu for each not-dividing summand, whose generators are the
+    semigroup elements not dividing t*mu; generators holds the explicit
+    generators.  Membership of u in the ideal's q-th Frobenius power is: u
+    componentwise dominates q times some minimal generator.
     """
 
-    atoms: tuple
+    bounds: tuple[Vector, ...] = ()
+    generators: tuple[Vector, ...] = ()
 
     @staticmethod
     def not_dividing(mu: Sequence[int], t: int) -> "MonomialIdeal":
@@ -178,44 +131,36 @@ class MonomialIdeal:
         mu = tuple(int(x) for x in mu)
         if any(x < 1 for x in mu):
             raise ValueError("the witness monomial must be strictly positive")
-        return MonomialIdeal((NotDividing(mu, t),))
+        return MonomialIdeal(bounds=(vscale(t, mu),))
 
     @staticmethod
     def generated_by(vectors: Sequence[Sequence[int]]) -> "MonomialIdeal":
-        return MonomialIdeal(
-            (ExplicitGenerators(tuple(tuple(int(x) for x in v) for v in vectors)),)
-        )
+        return MonomialIdeal(generators=tuple(tuple(int(x) for x in v) for v in vectors))
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return MonomialIdeal(self.atoms + other.atoms)
+        return MonomialIdeal(self.bounds + other.bounds, self.generators + other.generators)
 
     def minimal_generators(self, emb: FullEmbedding) -> tuple[Vector, ...]:
         """Minimal monomial generating set.
 
-        For a NotDividing atom the minimal generators are the minimal
-        semigroup elements u with u not componentwise below t*mu; each such
-        element is the sum of a generator image and an element below t*mu,
-        which bounds the search box.
+        For a bound t*mu the minimal generators are the minimal semigroup
+        elements u with u not componentwise below t*mu; each such element is
+        the sum of a generator image and an element below t*mu, which bounds
+        the search box.
         """
         n = emb.num_coordinates
         candidates: list[Vector] = []
-        for atom in self.atoms:
-            if isinstance(atom, NotDividing):
-                tmu = vscale(atom.t, atom.mu)
-                gamma = [max(g[j] for g in emb.image_generators) for j in range(n)]
-                bounds = vadd(tmu, gamma)
-                for u in lattice_points_in_box(emb.image_lattice, bounds):
-                    if any(x != 0 for x in u) and not _leq(u, tmu):
-                        candidates.append(u)
-            elif isinstance(atom, ExplicitGenerators):
-                for u in atom.vectors:
-                    if len(u) != n:
-                        raise ValueError(f"generator {u} has wrong length")
-                    if any(x < 0 for x in u) or express_in_basis(u, emb.image_lattice) is None:
-                        raise ValueError(f"generator {u} is not a semigroup element")
+        gamma = [max(g[j] for g in emb.image_generators) for j in range(n)]
+        for tmu in self.bounds:
+            for u in lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma)):
+                if any(u) and not _leq(u, tmu):
                     candidates.append(u)
-            else:
-                raise TypeError(f"unknown ideal atom {atom!r}")
+        for u in self.generators:
+            if len(u) != n:
+                raise ValueError(f"generator {u} has wrong length")
+            if any(x < 0 for x in u) or express_in_basis(u, emb.image_lattice) is None:
+                raise ValueError(f"generator {u} is not a semigroup element")
+            candidates.append(u)
         return _minimalize(candidates)
 
 
@@ -308,7 +253,7 @@ def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) ->
     """
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")
-    mu = socle_witness(emb).mu
+    mu = socle_witness(emb)
     # one walk of the not-dividing box serves both ideals
     gens = MonomialIdeal.not_dividing(mu, t).minimal_generators(emb)
     # mu is a sum of generator images, so t*mu needs no membership test
@@ -326,13 +271,3 @@ def hk_difference_identity(emb: FullEmbedding, t: int, q: int) -> HKIdentity:
     lhs = colengths.not_dividing - colengths.with_witness
     rhs = count_aq(emb, q).a_q
     return HKIdentity(lhs, rhs, lhs == rhs)
-
-
-def aq_table(emb: FullEmbedding, q_list: Sequence[int]) -> list[FrobeniusCount]:
-    """Table of (q, a_q, a_q / q^rank) for an ascending list of q values."""
-    q_list = list(q_list)
-    if not q_list:
-        raise ValueError("q_list must be nonempty")
-    if any(b <= a for a, b in zip(q_list, q_list[1:])):
-        raise ValueError("q_list must be strictly ascending")
-    return [count_aq(emb, q) for q in q_list]

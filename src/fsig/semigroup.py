@@ -5,10 +5,10 @@ derived from it fixes lattice coordinates: a Hermite basis of the group
 generated by the generators, against which all downstream functionals and
 counts are expressed.
 
-Membership below is only meaningful for normal semigroups; normality itself
-is an assumption of the signature pipeline, and check_normal certifies it up
-to a finite bound only.  It closes the generators inside the box once per
-call and compares that set with the group-and-cone points of the box.
+Normality is an assumption of the signature pipeline, and check_normal
+certifies it up to a finite bound only: it closes the generators inside the
+box once per call and compares that set with the group-and-cone points of
+the box.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ from .errors import EmptyPresentation, InvalidPresentation
 from .exact import (
     IntegerMatrix,
     Vector,
-    dot,
     express_in_basis,
     hermite_basis,
     lattice_points_in_box,
@@ -84,20 +83,6 @@ def build_context(presentation: SemigroupPresentation) -> SemigroupContext:
             raise InvalidPresentation(f"generator {g} escaped its own lattice")
         coords.append(c)
     return SemigroupContext(presentation, lattice, lattice.nrows, tuple(coords))
-
-
-def member(ctx: SemigroupContext, facets: Sequence, v: Sequence[int]) -> bool:
-    """Membership test for a NORMAL semigroup.
-
-    For normal semigroups, v belongs iff it lies in the generated group and
-    every facet functional is nonnegative on it.  facets must come from the
-    same context (see the cone module).
-    """
-    if len(v) != ctx.presentation.ambient_rank:
-        raise ValueError("vector length does not match the ambient rank")
-    if express_in_basis(v, ctx.lattice) is None:
-        return False
-    return all(dot(f.coefficients, v) >= 0 for f in facets)
 
 
 @dataclass(frozen=True)

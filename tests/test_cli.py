@@ -62,6 +62,19 @@ class TestFamilyCommand:
     def test_invalid_parameters_exit_3(self, capsys):
         assert main(["family", "segre", "1", "2"]) == 3
 
+    def test_unwritable_emit_target_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "segre22.json"
+        assert main(["family", "segre", "2", "2", "--emit", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write")
+
+    def test_json_approx(self, capsys):
+        assert main(["family", "segre", "2", "2", "--json", "--approx"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["computed"] == "2/3"
+        assert doc["computed_approx"] == "0.666666666667"
+
 
 class TestAqCommand:
     def test_segre_table(self, tmp_path, capsys):
@@ -79,7 +92,9 @@ class TestAqCommand:
         assert [row["ratio"] for row in doc["table"]] == ["1/2", "1/2"]
 
     def test_bad_q_list_exit_2(self, veronese22_file, capsys):
-        assert main(["aq", veronese22_file, "--q", "3,2"]) == 2
+        # unsorted, nonpositive and empty q lists
+        for flags in (["--q", "3,2"], ["--q", "0,2"], ["--q-max", "0"]):
+            assert main(["aq", veronese22_file, *flags]) == 2
 
 
 class TestHkCommand:
@@ -112,7 +127,15 @@ class TestHkCommand:
     def test_budget_reaches_the_colength(self, veronese22_file, capsys):
         assert main(["hk", veronese22_file, "--q", "3", "--budget", "1"]) == 4
 
-    @pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "2", "--t", "0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q", "0"],
+            ["--q", "2", "--t", "0"],
+            ["--q", "2", "--budget", "0"],
+            ["--q", "2", "--budget", "-1"],
+        ],
+    )
     def test_nonpositive_q_or_t_exit_2(self, veronese22_file, capsys, flags):
         assert main(["hk", veronese22_file, *flags]) == 2
 
@@ -141,6 +164,17 @@ class TestParseErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["signature", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["utf8", "deep"]
+    )
+    def test_unreadable_document(self, tmp_path, capsys, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        assert main(["signature", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_wrong_format_version(self, tmp_path, capsys):
         path = write_doc(tmp_path / "v9.json", 2, [[1, 0]], version=9)

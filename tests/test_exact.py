@@ -9,12 +9,12 @@ import pytest
 from fsig.cone import full_embedding
 from fsig.exact import (
     IntegerMatrix,
+    _hermite_rows,
     count_lattice_points,
     determinant,
     express_in_basis,
     extended_gcd_vector,
     hermite_basis,
-    hermite_basis_with_transform,
     independent_rows,
     lattice_points_in_box,
     matrix_rank,
@@ -97,8 +97,9 @@ class TestHermiteBasis:
                 tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(rng.randint(1, 4))
             )
             m = IntegerMatrix(rows)
-            basis, transform = hermite_basis_with_transform(m)
-            for urow, brow in zip(transform.rows, basis.rows):
+            basis, transform = _hermite_rows(m.rows, track=True)
+            assert tuple(basis) == hermite_basis(m).rows
+            for urow, brow in zip(transform, basis):
                 combo = [0, 0, 0]
                 for c, row in zip(urow, m.rows):
                     combo = [a + c * b for a, b in zip(combo, row)]

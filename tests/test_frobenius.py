@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsig.cone import full_embedding
+from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
-from fsig.exact import express_in_basis, vadd, vscale
+from fsig.exact import express_in_basis, vadd, vscale, vsub
 from fsig.families import segre_generators, veronese_generators
 from fsig.frobenius import (
     MonomialIdeal,
-    aq_table,
     brute_force_aq,
     count_aq,
     hk_colength,
@@ -161,43 +160,54 @@ class TestBruteForceAq:
 
 
 class TestSocleWitness:
-    def test_free_plane_frozen(self):
-        w = socle_witness(emb_of(FREE2))
-        assert w.mu0 == (1, 1)
-        assert w.mu == (2, 2)
+    @pytest.mark.parametrize(
+        "presentation, mu",
+        [
+            (FREE2, (2, 2)),
+            (veronese_generators(3, 2), (10, 9, 15)),
+            (segre_generators(2, 2), (6, 6, 9, 9)),
+            (segre_generators(2, 3), (12, 8, 8, 13, 17)),
+        ],
+        ids=["free(2)", "veronese(3,2)", "segre(2,2)", "segre(2,3)"],
+    )
+    def test_free_plane_frozen(self, presentation, mu):
+        assert socle_witness(emb_of(presentation)) == mu
 
     def test_certificate_relations(self):
-        for p in (FREE2, veronese_generators(2, 2), segre_generators(2, 2)):
+        # the colength identity needs t*mu + e_i - a in the semigroup, with
+        # i-th entry t*mu_i + 1, for the certificate a of every coordinate i
+        for p in (
+            FREE2,
+            veronese_generators(2, 2),
+            segre_generators(2, 2),
+            veronese_generators(3, 2),
+            SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))),
+        ):
             emb = emb_of(p)
-            w = socle_witness(emb)
+            mu = socle_witness(emb)
             n = emb.num_coordinates
-            assert all(x >= 1 for x in w.mu)
-            assert express_in_basis(w.mu, emb.image_lattice) is not None
-            for part in w.parts:
-                i = part.index
-                ei = tuple(1 if j == i else 0 for j in range(n))
-                # a - e_i = mu_part - eta_part, exactly
-                assert tuple(a - e for a, e in zip(part.a, ei)) == part.certificate
-                assert part.certificate == tuple(
-                    m - h for m, h in zip(part.mu_part, part.eta_part)
-                )
-                for vec in (part.mu_part, part.eta_part):
-                    assert all(x >= 0 for x in vec)
-                    assert express_in_basis(vec, emb.image_lattice) is not None
+            for i in range(n):
+                a, _ = fraction_field_witness(emb, i)
+                ei = tuple(int(j == i) for j in range(n))
+                for t in (1, 2, 3):
+                    u = vsub(vadd(vscale(t, mu), ei), a)
+                    assert all(x >= 0 for x in u)
+                    assert u[i] == t * mu[i] + 1
+                    assert express_in_basis(u, emb.image_lattice) is not None
 
     def test_veronese_witness_in_even_lattice(self):
-        w = socle_witness(emb_of(veronese_generators(2, 2)))
-        assert w.mu0 == (3, 3)
-        assert sum(w.mu) % 2 == 0
+        mu = socle_witness(emb_of(veronese_generators(2, 2)))
+        assert mu == (4, 6)
+        assert sum(mu) % 2 == 0
 
 
 class TestMonomialIdeal:
     def test_one_variable_minimal_generators(self):
         emb = emb_of(FREE1)
-        w = socle_witness(emb)
-        assert w.mu == (1,)
+        mu = socle_witness(emb)
+        assert mu == (1,)
         for t in (1, 2, 3):
-            ideal = MonomialIdeal.not_dividing(w.mu, t)
+            ideal = MonomialIdeal.not_dividing(mu, t)
             assert ideal.minimal_generators(emb) == ((t + 1,),)
 
     def test_sum_with_witness_generator(self):
@@ -221,26 +231,26 @@ class TestHkColength:
     def test_one_variable_closed_forms(self):
         # not dividing mu^t is the ideal (x^(t+1)): colengths q(t+1) and q
         emb = emb_of(FREE1)
-        w = socle_witness(emb)
+        mu = socle_witness(emb)
         for q in range(1, 6):
-            ideal = MonomialIdeal.not_dividing(w.mu, 1)
+            ideal = MonomialIdeal.not_dividing(mu, 1)
             assert hk_colength(emb, ideal, q) == 2 * q
-            enlarged = ideal + MonomialIdeal.generated_by([w.mu])
+            enlarged = ideal + MonomialIdeal.generated_by([mu])
             assert hk_colength(emb, enlarged, q) == q
 
     def test_veronese_difference_is_a3(self):
         emb = emb_of(veronese_generators(2, 2))
-        w = socle_witness(emb)
-        ideal = MonomialIdeal.not_dividing(w.mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([w.mu])
+        mu = socle_witness(emb)
+        ideal = MonomialIdeal.not_dividing(mu, 1)
+        enlarged = ideal + MonomialIdeal.generated_by([mu])
         diff = hk_colength(emb, ideal, 3) - hk_colength(emb, enlarged, 3)
         assert diff == 5 == count_aq(emb, 3).a_q
 
     def test_segre_difference_is_a2(self):
         emb = emb_of(segre_generators(2, 2))
-        w = socle_witness(emb)
-        ideal = MonomialIdeal.not_dividing(w.mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([w.mu])
+        mu = socle_witness(emb)
+        ideal = MonomialIdeal.not_dividing(mu, 1)
+        enlarged = ideal + MonomialIdeal.generated_by([mu])
         diff = hk_colength(emb, ideal, 2) - hk_colength(emb, enlarged, 2)
         assert diff == 6 == count_aq(emb, 2).a_q
 
@@ -320,29 +330,23 @@ class TestDifferenceIdentity:
 
 class TestAqTable:
     def test_segre_table(self):
-        rows = aq_table(emb_of(segre_generators(2, 2)), [2, 3])
+        emb = emb_of(segre_generators(2, 2))
+        rows = [count_aq(emb, q) for q in (2, 3)]
         assert [(r.q, r.a_q, r.ratio) for r in rows] == [
             (2, 6, Fraction(3, 4)),
             (3, 19, Fraction(19, 27)),
         ]
 
     def test_free_line_ratios_are_one(self):
-        rows = aq_table(emb_of(FREE1), [1, 2, 3])
-        assert all(r.ratio == 1 for r in rows)
+        assert all(count_aq(emb_of(FREE1), q).ratio == 1 for q in (1, 2, 3))
 
     def test_veronese_table(self):
-        rows = aq_table(emb_of(veronese_generators(2, 2)), [2, 4])
+        emb = emb_of(veronese_generators(2, 2))
+        rows = [count_aq(emb, q) for q in (2, 4)]
         assert [(r.q, r.a_q, r.ratio) for r in rows] == [
             (2, 2, Fraction(1, 2)),
             (4, 8, Fraction(1, 2)),
         ]
-
-    def test_rejects_unsorted_or_empty(self):
-        emb = emb_of(FREE1)
-        with pytest.raises(ValueError):
-            aq_table(emb, [])
-        with pytest.raises(ValueError):
-            aq_table(emb, [3, 2])
 
 
 class TestSuperadditivity:

@@ -1,4 +1,4 @@
-"""Presentations, contexts, membership, and the bounded normality check."""
+"""Presentations, contexts, group-and-cone points, and the bounded normality check."""
 
 import itertools
 import random
@@ -11,12 +11,7 @@ from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
 from fsig.exact import dot, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
-from fsig.semigroup import (
-    SemigroupPresentation,
-    build_context,
-    check_normal,
-    member,
-)
+from fsig.semigroup import SemigroupPresentation, build_context, check_normal
 
 from oracles import is_natural_combination
 
@@ -26,6 +21,17 @@ FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 def facets_of(presentation):
     ctx = build_context(presentation)
     return ctx, full_embedding(ctx).functionals
+
+
+def cone_points(presentation, bound):
+    """Group points of [0, bound]^r on which every facet functional is >= 0."""
+    ctx, facets = facets_of(presentation)
+    box = [bound] * presentation.ambient_rank
+    return {
+        v
+        for v in lattice_points_in_box(ctx.lattice, box)
+        if all(dot(f.coefficients, v) >= 0 for f in facets)
+    }
 
 
 def per_point_check_normal(ctx, facets, bound):
@@ -86,27 +92,25 @@ class TestBuildContext:
 
 
 class TestMember:
+    # a normal semigroup is the set of group points in its cone
     def test_veronese_cases(self):
-        ctx, facets = facets_of(veronese_generators(2, 2))
-        assert member(ctx, facets, (3, 1))  # (2,0) + (1,1)
-        assert not member(ctx, facets, (1, 0))  # odd sum, outside the group
-        assert member(ctx, facets, (0, 0))
+        points = cone_points(veronese_generators(2, 2), 4)
+        assert (3, 1) in points  # (2,0) + (1,1)
+        assert (1, 0) not in points  # odd sum, outside the group
+        assert (0, 0) in points
 
     def test_generators_are_members(self):
         for p in (FREE2, veronese_generators(2, 2), segre_generators(2, 2)):
-            ctx, facets = facets_of(p)
-            for g in p.generators:
-                assert member(ctx, facets, g)
+            assert set(p.generators) <= cone_points(p, 2)
 
     def test_closure_under_addition_randomized(self):
         rng = random.Random(1801)
-        ctx, facets = facets_of(veronese_generators(2, 2))
-        box = list(itertools.product(range(7), repeat=2))
-        members = [v for v in box if member(ctx, facets, v)]
+        points = cone_points(veronese_generators(2, 2), 12)
+        members = sorted(v for v in points if max(v) <= 6)
         for _ in range(60):
             a = rng.choice(members)
             b = rng.choice(members)
-            assert member(ctx, facets, tuple(x + y for x, y in zip(a, b)))
+            assert tuple(x + y for x, y in zip(a, b)) in points
 
     @pytest.mark.parametrize(
         "presentation",
@@ -119,13 +123,10 @@ class TestMember:
         ids=lambda p: p.name or "rescaled",
     )
     def test_member_matches_combination_oracle(self, presentation):
-        # for normal inputs, membership equals brute-force generator search
-        ctx, facets = facets_of(presentation)
-        r = presentation.ambient_rank
-        for v in itertools.product(range(7), repeat=r):
-            assert member(ctx, facets, v) == is_natural_combination(
-                v, presentation.generators
-            )
+        # for normal inputs, the group-and-cone points are the generator sums
+        points = cone_points(presentation, 6)
+        for v in itertools.product(range(7), repeat=presentation.ambient_rank):
+            assert (v in points) == is_natural_combination(v, presentation.generators)
 
 
 class TestCheckNormal:
