@@ -10,10 +10,10 @@ Input documents are JSON with unbounded integers:
     }
 
 Every subcommand prints aligned text by default and a machine-readable JSON
-document with --json; rationals are always rendered exactly as "p/q" (add
---approx for a clearly labeled decimal column).  Exit codes: 0 success,
-1 selftest failure, 2 parse error, 3 precondition violation, 4 budget
-exceeded.
+document with --json; rationals are always rendered exactly as "p/q"
+(signature, aq and family add a clearly labeled decimal column with
+--approx).  Exit codes: 0 success, 1 selftest failure, 2 parse error,
+3 precondition violation, 4 budget exceeded.
 """
 
 import argparse
@@ -456,17 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, approx=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--approx",
-            action="store_true",
-            help="add decimal approximations (clearly labeled; defaults are exact)",
-        )
+        if approx:
+            p.add_argument(
+                "--approx",
+                action="store_true",
+                help="add decimal approximations (clearly labeled; defaults are exact)",
+            )
 
     p = sub.add_parser("signature", help="compute the F-signature of a presentation")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, approx=True)
     p.set_defaults(handler=cmd_signature)
 
     p = sub.add_parser("facets", help="facet functionals and the full embedding")
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--q-max", type=int, default=8, help="tabulate q = 1..Q")
     p.add_argument("--q", help="explicit comma-separated q list (overrides --q-max)")
-    add_common(p)
+    add_common(p, approx=True)
     p.set_defaults(handler=cmd_aq)
 
     p = sub.add_parser("hk", help="colengths and the difference identity")
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p1", type=int)
     p.add_argument("p2", type=int)
     p.add_argument("--emit", metavar="FILE", help="write the presentation document")
-    add_common(p)
+    add_common(p, approx=True)
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("check-normal", help="bounded normality diagnostic")

@@ -197,14 +197,14 @@ def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
     return FullEmbedding(functionals, matrix_t, images, image_lattice, ctx.rank)
 
 
-def fraction_field_witness(emb: FullEmbedding, i: int) -> tuple[Vector, Vector]:
-    """A pair (a_i, v) with v in the image group, v_i = -1, v_j >= 0 else.
+def fraction_field_witness(emb: FullEmbedding, i: int) -> Vector:
+    """A certificate v in the image group with v_i = -1 and v_j >= 0 else.
 
     v is built as -(x) + t * alpha where x is an image-group element with
     x_i = 1 (it exists because the i-th functional is primitive), alpha is
     the sum of the generator images lying on facet i (a relative-interior
     point of that facet, so alpha_i = 0 and alpha_j > 0 for j != i), and
-    t >= 1 is minimal.  a_i is v with its i-th coordinate lifted to 0.
+    t >= 1 is minimal.
     """
     n = emb.num_coordinates
     if not 0 <= i < n:
@@ -238,5 +238,4 @@ def fraction_field_witness(emb: FullEmbedding, i: int) -> tuple[Vector, Vector]:
     v = vadd(vscale(-1, x), vscale(t, alpha))
     if v[i] != -1 or any(v[j] < 0 for j in range(n) if j != i):
         raise WitnessNotFound("witness construction failed; input is degenerate")
-    a = tuple(0 if j == i else v[j] for j in range(n))
-    return a, v
+    return v

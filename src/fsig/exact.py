@@ -71,12 +71,17 @@ def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
-def _hermite_rows(rows, track):
-    """Shared HNF worker; returns (basis rows, transform rows or None)."""
-    work = [list(r) for r in rows]
+def hermite_basis(m: IntegerMatrix) -> IntegerMatrix:
+    """Row-style Hermite normal form basis of the row lattice of m.
+
+    The result has full row rank equal to the rank of m and the same integer
+    row span; a zero matrix yields an empty basis of rank 0.  Idempotent.
+    """
+    if m.nrows < 1:
+        raise ValueError("hermite_basis requires at least one row")
+    work = [list(r) for r in m.rows]
     n = len(work)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-    ncols = len(work[0]) if work else 0
+    ncols = len(work[0])
     r = 0
     for col in range(ncols):
         # Euclid on the column below r until at most one nonzero entry is left.
@@ -87,8 +92,6 @@ def _hermite_rows(rows, track):
             i0 = min(nz, key=lambda i: (abs(work[i][col]), i))
             if i0 != r:
                 work[r], work[i0] = work[i0], work[r]
-                if track:
-                    u[r], u[i0] = u[i0], u[r]
             others = [i for i in range(r + 1, n) if work[i][col] != 0]
             if not others:
                 break
@@ -96,38 +99,18 @@ def _hermite_rows(rows, track):
             for i in others:
                 q = work[i][col] // p
                 work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                if track:
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         if r < n and work[r][col] != 0:
             if work[r][col] < 0:
                 work[r] = [-a for a in work[r]]
-                if track:
-                    u[r] = [-a for a in u[r]]
             p = work[r][col]
             for i in range(r):
                 q = work[i][col] // p  # floor division puts the entry in [0, p)
                 if q:
                     work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if track:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
             r += 1
             if r == n:
                 break
-    basis = [tuple(row) for row in work[:r]]
-    transform = [tuple(row) for row in u[:r]] if track else None
-    return basis, transform
-
-
-def hermite_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Row-style Hermite normal form basis of the row lattice of m.
-
-    The result has full row rank equal to the rank of m and the same integer
-    row span; a zero matrix yields an empty basis of rank 0.  Idempotent.
-    """
-    if m.nrows < 1:
-        raise ValueError("hermite_basis requires at least one row")
-    basis, _ = _hermite_rows(m.rows, track=False)
-    return IntegerMatrix(tuple(basis))
+    return IntegerMatrix(tuple(tuple(row) for row in work[:r]))
 
 
 def clear_denominators(row: Sequence) -> tuple[int, list[int]]:
@@ -217,16 +200,24 @@ def express_in_basis(v: Sequence[int], basis: IntegerMatrix) -> Vector | None:
 
 
 def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector | None:
-    """Some integer row combination a with a @ m = target, or None."""
-    basis, transform = _hermite_rows(m.rows, track=True)
-    coeffs = express_in_basis(target, IntegerMatrix(tuple(basis)))
+    """Some integer row combination a with a @ m = target, or None.
+
+    Each Hermite basis row of [m | I] whose left part is nonzero carries, on
+    its right, the combination of the rows of m that gives that left part;
+    those left parts are the Hermite basis of m.  No package code calls this:
+    the benchmark tracer counts it by name.
+    """
+    k, n = m.ncols, m.nrows
+    identity = (tuple(int(i == j) for j in range(n)) for i in range(n))
+    augmented = hermite_basis(IntegerMatrix(tuple(r + e for r, e in zip(m.rows, identity))))
+    rows = [row for row in augmented.rows if any(row[:k])]
+    coeffs = express_in_basis(target, IntegerMatrix(tuple(row[:k] for row in rows)))
     if coeffs is None:
         return None
-    a = [0] * m.nrows
-    for c, urow in zip(coeffs, transform):
-        if c:
-            a = [x + c * y for x, y in zip(a, urow)]
-    return tuple(a)
+    a = (0,) * n
+    for c, row in zip(coeffs, rows):
+        a = vadd(a, vscale(c, row[k:]))
+    return a
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

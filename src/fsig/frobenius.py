@@ -23,12 +23,10 @@ from typing import NamedTuple, Sequence
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
 from .errors import BudgetExceeded, NotPrimary
 from .exact import (
-    IntegerMatrix,
     Vector,
     count_lattice_points,
     express_in_basis,
     lattice_points_in_box,
-    solve_integer_combination,
     vadd,
     vscale,
 )
@@ -90,24 +88,21 @@ def brute_force_aq(
 def socle_witness(emb: FullEmbedding) -> Vector:
     """The strictly positive witness monomial mu, in additive notation.
 
-    mu is the sum of all generator images (strictly positive in every
-    coordinate because each functional is positive somewhere) plus, for each
-    coordinate i, the positive part of an integer generator combination of
-    the smallest-exponent fraction-field certificate a - e_i of coordinate i.
+    mu = alpha + sum_i v_i, where alpha is the sum of the generator images
+    and v_i = fraction_field_witness(emb, i) is the certificate of coordinate
+    i (v_i[i] = -1, every other entry >= 0, v_i in the image group); if some
+    entry of mu is 0 (only one generator in rank 1), alpha is added once more.
+    It guarantees, for every coordinate i and every t >= 1, that t*mu - v_i
+    lies in the image group and in N^n with i-th entry t*mu_i + 1: entry j of
+    mu is alpha_j - 1 + sum_{i != j} v_i[j] >= v_k[j] for every k != j, since
+    alpha_j >= 1 (each functional is positive on some generator).
     """
-    images = emb.image_generators
-    gen_matrix = IntegerMatrix(images)
-    mu = tuple(map(sum, zip(*images)))
+    alpha = tuple(map(sum, zip(*emb.image_generators)))
+    mu = alpha
     for i in range(emb.num_coordinates):
-        _, v = fraction_field_witness(emb, i)
-        combo = solve_integer_combination(gen_matrix, v)
-        if combo is None:  # v lies in the image group by construction
-            raise ArithmeticError(f"certificate {v} escaped the image group")
-        for c, g in zip(combo, images):
-            if c > 0:
-                mu = vadd(mu, vscale(c, g))
-    if any(x < 1 for x in mu):
-        raise ArithmeticError(f"witness {mu} is not strictly positive")
+        mu = vadd(mu, fraction_field_witness(emb, i))
+    if 0 in mu:
+        mu = vadd(mu, alpha)
     return mu
 
 

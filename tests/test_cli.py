@@ -229,6 +229,18 @@ class TestParseErrors:
         assert main(["signature", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [["facets", "FILE"], ["hk", "FILE", "--q", "2"], ["check-normal", "FILE"], ["selftest"]],
+        ids=["facets", "hk", "check-normal", "selftest"],
+    )
+    def test_approx_only_where_it_is_read(self, veronese22_file, capsys, command):
+        argv = [veronese22_file if a == "FILE" else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--approx"])
+        assert exc.value.code == 2
+        assert "--approx" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

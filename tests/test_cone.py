@@ -270,13 +270,13 @@ class TestFullEmbedding:
 class TestFractionFieldWitness:
     def test_free_semigroup_frozen(self):
         emb = full_embedding(build_context(FREE2))
-        assert fraction_field_witness(emb, 0) == ((0, 1), (-1, 1))
-        assert fraction_field_witness(emb, 1) == ((1, 0), (1, -1))
+        assert fraction_field_witness(emb, 0) == (-1, 1)
+        assert fraction_field_witness(emb, 1) == (1, -1)
 
     def test_veronese_frozen(self):
         emb = full_embedding(build_context(veronese_generators(2, 2)))
-        a, v = fraction_field_witness(emb, 0)
-        assert v == (-1, 1) and a == (0, 1)
+        v = fraction_field_witness(emb, 0)
+        assert v == (-1, 1)
         assert express_in_basis(v, emb.image_lattice) is not None
 
     def test_witness_properties_across_coordinates(self):
@@ -284,10 +284,9 @@ class TestFractionFieldWitness:
             emb = full_embedding(build_context(p))
             n = emb.num_coordinates
             for i in range(n):
-                a, v = fraction_field_witness(emb, i)
+                v = fraction_field_witness(emb, i)
                 assert v[i] == -1
                 assert all(v[j] >= 0 for j in range(n) if j != i)
-                assert a == tuple(0 if j == i else v[j] for j in range(n))
                 assert express_in_basis(v, emb.image_lattice) is not None
 
     def test_index_out_of_range(self):

@@ -9,7 +9,6 @@ import pytest
 from fsig.cone import full_embedding
 from fsig.exact import (
     IntegerMatrix,
-    _hermite_rows,
     count_lattice_points,
     determinant,
     express_in_basis,
@@ -89,21 +88,6 @@ class TestHermiteBasis:
             assert hermite_basis(basis).rows == basis.rows
             for row in m.rows:
                 assert express_in_basis(row, basis) is not None
-
-    def test_transform_reconstructs_basis(self):
-        rng = random.Random(1702)
-        for _ in range(25):
-            rows = tuple(
-                tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(rng.randint(1, 4))
-            )
-            m = IntegerMatrix(rows)
-            basis, transform = _hermite_rows(m.rows, track=True)
-            assert tuple(basis) == hermite_basis(m).rows
-            for urow, brow in zip(transform, basis):
-                combo = [0, 0, 0]
-                for c, row in zip(urow, m.rows):
-                    combo = [a + c * b for a, b in zip(combo, row)]
-                assert tuple(combo) == brow
 
 
 class TestDeterminant:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsig.cone import fraction_field_witness, full_embedding
@@ -108,6 +108,14 @@ def small_ideals(draw):
     return emb, ideal, draw(st.integers(1, 4))
 
 
+@st.composite
+def small_presentations(draw):
+    """Ambient rank 2 or 3, at most 6 generators with entries <= 3, normal or not."""
+    r = draw(st.integers(2, 3))
+    vectors = st.tuples(*[st.integers(0, 3)] * r).filter(any)
+    return SemigroupPresentation(r, draw(st.lists(vectors, min_size=1, max_size=6, unique=True)))
+
+
 class TestCountAq:
     def test_free_plane(self):
         assert count_aq(emb_of(FREE2), 3).a_q == 9
@@ -163,41 +171,41 @@ class TestSocleWitness:
     @pytest.mark.parametrize(
         "presentation, mu",
         [
-            (FREE2, (2, 2)),
-            (veronese_generators(3, 2), (10, 9, 15)),
-            (segre_generators(2, 2), (6, 6, 9, 9)),
-            (segre_generators(2, 3), (12, 8, 8, 13, 17)),
+            (FREE2, (1, 1)),
+            (veronese_generators(3, 2), (9, 8, 7)),
+            (segre_generators(2, 2), (5, 5, 4, 4)),
+            (segre_generators(2, 3), (11, 7, 7, 6, 9)),
         ],
         ids=["free(2)", "veronese(3,2)", "segre(2,2)", "segre(2,3)"],
     )
     def test_free_plane_frozen(self, presentation, mu):
         assert socle_witness(emb_of(presentation)) == mu
 
-    def test_certificate_relations(self):
-        # the colength identity needs t*mu + e_i - a in the semigroup, with
-        # i-th entry t*mu_i + 1, for the certificate a of every coordinate i
-        for p in (
-            FREE2,
-            veronese_generators(2, 2),
-            segre_generators(2, 2),
-            veronese_generators(3, 2),
-            SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))),
-        ):
-            emb = emb_of(p)
-            mu = socle_witness(emb)
-            n = emb.num_coordinates
-            for i in range(n):
-                a, _ = fraction_field_witness(emb, i)
-                ei = tuple(int(j == i) for j in range(n))
-                for t in (1, 2, 3):
-                    u = vsub(vadd(vscale(t, mu), ei), a)
-                    assert all(x >= 0 for x in u)
-                    assert u[i] == t * mu[i] + 1
-                    assert express_in_basis(u, emb.image_lattice) is not None
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(small_presentations())
+    @example(FREE2)
+    @example(veronese_generators(2, 2))
+    @example(segre_generators(2, 2))
+    @example(veronese_generators(3, 2))
+    @example(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
+    @example(SemigroupPresentation(2, ((1, 1),)))
+    def test_certificate_relations(self, presentation):
+        # the colength identity needs mu > 0 and t*mu - v in the semigroup,
+        # with i-th entry t*mu_i + 1, for the certificate v of every coordinate i
+        emb = full_embedding(build_context(presentation))
+        mu = socle_witness(emb)
+        assert min(mu) >= 1
+        for i in range(emb.num_coordinates):
+            v = fraction_field_witness(emb, i)
+            for t in (1, 2, 3):
+                u = vsub(vscale(t, mu), v)
+                assert all(x >= 0 for x in u)
+                assert u[i] == t * mu[i] + 1
+                assert express_in_basis(u, emb.image_lattice) is not None
 
     def test_veronese_witness_in_even_lattice(self):
         mu = socle_witness(emb_of(veronese_generators(2, 2)))
-        assert mu == (4, 6)
+        assert mu == (3, 3)
         assert sum(mu) % 2 == 0
 
 
@@ -293,11 +301,11 @@ class TestHkColength:
         # count_aq and f_signature) the normalization
         emb = emb_of(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
         colengths = hk_colengths(emb, 1, 3)
-        assert colengths[1:] == (378, 369)
+        assert colengths == ((2, 4), 135, 126)
         ideal = MonomialIdeal.not_dividing(colengths.mu, 1)
         enlarged = ideal + MonomialIdeal.generated_by([colengths.mu])
-        assert closure_colength(emb, ideal, 3) == 369
-        assert closure_colength(emb, enlarged, 3) == 360
+        assert closure_colength(emb, ideal, 3) == 128
+        assert closure_colength(emb, enlarged, 3) == 119
         assert colengths.not_dividing - colengths.with_witness == count_aq(emb, 3).a_q
 
     @settings(max_examples=80, deadline=None, database=None)
