@@ -14,13 +14,14 @@ Fraction reference kept for the tests.
 The Hermite normal form convention used throughout the package: row-style,
 upper echelon, positive pivots, and every entry above a pivot reduced into
 [0, pivot).  Lattice coordinates elsewhere in the package are always taken
-against a basis in this form.
+against a basis in this form.  Box points are walked in runs: the first d-1
+coefficients pivot by pivot, the last over the interval the box cuts out.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index
+from operator import add, index
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -343,51 +344,60 @@ def extended_gcd_vector(values: Sequence[int]) -> tuple[int, Vector]:
     return g, tuple(coeffs)
 
 
+def _lattice_runs(basis: IntegerMatrix, bounds: list[int]) -> Iterator[tuple[Vector, int, int]]:
+    """Runs (point, lo, hi): the box points point + c * basis.rows[-1], lo <= c <= hi.
+
+    The basis must be in Hermite form with a row, and the bounds nonnegative.
+    The first d-1 coefficients are iterated pivot by pivot, pruned by the
+    coordinates each makes final; the box cuts the last coefficient c to an
+    interval.  Points first differ at a pivot: they come in lexicographic order.
+    """
+    if basis.ncols != len(bounds):
+        raise ValueError("bounds length does not match basis width")
+    rows, pivots = basis.rows, _pivot_columns(basis)
+    last, step = pivots[-1], rows[-1][pivots[-1]]
+    tail = [(j, rows[-1][j]) for j in range(last + 1, len(bounds))]
+
+    def rec(k: int, point: list[int]) -> Iterator[tuple[Vector, int, int]]:
+        if k == len(rows) - 1:
+            lo, hi = -(point[last] // step), (bounds[last] - point[last]) // step
+            for j, s in tail:
+                if s > 0:
+                    lo, hi = max(lo, -(point[j] // s)), min(hi, (bounds[j] - point[j]) // s)
+                elif s < 0:
+                    lo, hi = max(lo, -((bounds[j] - point[j]) // -s)), min(hi, point[j] // -s)
+                elif not 0 <= point[j] <= bounds[j]:
+                    return
+            if lo <= hi:
+                yield tuple(point), lo, hi
+            return
+        row, p, end = rows[k], pivots[k], pivots[k + 1]
+        for c in range(-(point[p] // row[p]), (bounds[p] - point[p]) // row[p] + 1):
+            moved = point[:p] + [a + c * s for a, s in zip(point[p:], row[p:])]
+            if all(0 <= moved[j] <= bounds[j] for j in range(p + 1, end)):
+                yield from rec(k + 1, moved)
+
+    yield from rec(0, [0] * len(bounds))
+
+
 def lattice_points_in_box(basis: IntegerMatrix, bounds: Sequence[int]) -> Iterator[Vector]:
     """All points of the row lattice of basis inside the box prod [0, bounds[j]].
 
-    The basis must be in Hermite form.  Coefficients are iterated pivot by
-    pivot; once a coefficient is fixed, every coordinate left of the next
-    pivot is final and is checked against the box, which prunes the search.
+    The basis must be in Hermite form.  The points come in increasing
+    lexicographic order: the runs of _lattice_runs, expanded.
     """
     bounds = [int(b) for b in bounds]
     if any(b < 0 for b in bounds):
         return
-    ncols = len(bounds)
-    d = basis.nrows
-    if d == 0:
-        yield (0,) * ncols
+    if basis.nrows == 0:
+        yield (0,) * len(bounds)
         return
-    if basis.ncols != ncols:
-        raise ValueError("bounds length does not match basis width")
-    rows = basis.rows
-    pivots = _pivot_columns(basis)
-    point = [0] * ncols
-
-    def rec(k: int) -> Iterator[Vector]:
-        start = pivots[k - 1] + 1 if k > 0 else 0
-        end = pivots[k] if k < d else ncols
-        for j in range(start, end):
-            if not 0 <= point[j] <= bounds[j]:
-                return
-        if k == d:
-            yield tuple(point)
-            return
-        row = rows[k]
-        p = pivots[k]
-        step = row[p]
-        lo = -(point[p] // step)
-        hi = (bounds[p] - point[p]) // step
-        for c in range(lo, hi + 1):
-            if c:
-                for j in range(p, ncols):
-                    point[j] += c * row[j]
-            yield from rec(k + 1)
-            if c:
-                for j in range(p, ncols):
-                    point[j] -= c * row[j]
-
-    yield from rec(0)
+    last = basis.rows[-1]
+    for point, lo, hi in _lattice_runs(basis, bounds):
+        v = tuple(a + (lo - 1) * s for a, s in zip(point, last))
+        for _ in range(hi - lo + 1):
+            v = tuple(map(add, v, last))
+            yield v
 
 
 def count_lattice_points(

@@ -6,22 +6,20 @@ generated by the generators, against which all downstream functionals and
 counts are expressed.
 
 Normality is an assumption of the signature pipeline, and check_normal
-certifies it up to a finite bound only: it closes the generators inside the
-box once per call and compares that set with the group-and-cone points of
-the box.
+certifies it up to a finite bound only, against a bitset over the box.
 """
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .errors import EmptyPresentation, InvalidPresentation
 from .exact import (
     IntegerMatrix,
     Vector,
+    _lattice_runs,
     express_in_basis,
     hermite_basis,
-    lattice_points_in_box,
     primitive_vector,
 )
 
@@ -98,34 +96,56 @@ class NormalityVerdict:
     bound: int
 
 
+def _tile(pattern: int, width: int, copies: int) -> int:
+    """sum(pattern << i * width for i in range(copies)), built by doubling."""
+    if copies == 1:
+        return pattern
+    odd = pattern << (copies - 1) * width if copies % 2 else 0
+    return _tile(pattern | pattern << width, 2 * width, copies // 2) | odd
+
+
 def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> NormalityVerdict:
     """Bounded normality diagnostic.
 
-    Enumerates every group member v with 0 <= v_i <= bound and all facet
-    values >= 0, and verifies that each is a nonnegative integer combination
-    of the generators; the first failure is returned as a counterexample.
+    Decides whether every group member v with 0 <= v_i <= bound and all facet
+    values >= 0 is a nonnegative integer combination of the generators; the
+    lexicographically least failure is returned as a counterexample.
 
-    The combinations inside the box are found once per call, by closure from
-    0: generators are nonnegative, so every partial sum of an in-box
-    combination stays in the box.  Facet signs are read off integer rows,
-    each the primitive positive multiple of a functional's coefficients.
+    Closes the nonnegative generators inside the box once per call, in a
+    bitset with bit sum_j v_j * B^(r-1-j) for cell v, B = bound + 1.  Facets
+    cut each run of _lattice_runs to one arithmetic progression of bits.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    gens = ctx.presentation.generators
-    zero = (0,) * ctx.presentation.ambient_rank
-    combinations = {zero}
-    frontier = [zero]
-    while frontier:
-        u = frontier.pop()
-        for g in gens:
-            w = tuple(map(add, u, g))
-            if max(w) <= bound and w not in combinations:
-                combinations.add(w)
-                frontier.append(w)
+    r, base = ctx.presentation.ambient_rank, bound + 1
+    weights = [base ** (r - 1 - j) for j in range(r)]
+    reach = 1
+    for g in ctx.presentation.generators:
+        if max(g) <= bound:
+            source = 1  # the cells v with v + g in the box, tiled from the last digit up
+            for x, w in zip(reversed(g), reversed(weights)):
+                source = _tile(source, w, base - x)
+            shift = sum(map(mul, g, weights))
+            while (grown := reach | (reach & source) << shift) != reach:
+                reach = grown
     rows = [primitive_vector(f.coefficients) for f in facets]
-    box = [bound] * ctx.presentation.ambient_rank
-    for v in lattice_points_in_box(ctx.lattice, box):
-        if v not in combinations and all(sum(map(mul, row, v)) >= 0 for row in rows):
-            return NormalityVerdict(False, v, bound)
+    slopes = [sum(map(mul, row, ctx.lattice.rows[-1])) for row in rows]
+    step = sum(map(mul, ctx.lattice.rows[-1], weights))
+    for point, lo, hi in _lattice_runs(ctx.lattice, [bound] * r):
+        for row, slope in zip(rows, slopes):
+            value = sum(map(mul, row, point))
+            if slope > 0:
+                lo = max(lo, -(value // slope))
+            elif slope < 0:
+                hi = min(hi, value // -slope)
+            elif value < 0:
+                hi = lo - 1
+            if lo > hi:
+                break
+        else:
+            run = _tile(1, step, hi - lo + 1)  # step > 0 once a run has two cells
+            missing = (run << sum(map(mul, point, weights)) + lo * step) & ~reach
+            if missing:
+                least = (missing & -missing).bit_length() - 1
+                return NormalityVerdict(False, tuple(least // w % base for w in weights), bound)
     return NormalityVerdict(True, None, bound)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.exact import (
@@ -340,25 +342,39 @@ class TestSolveIntegerCombination:
         assert solve_integer_combination(m, (1, 1)) is None
 
 
+@st.composite
+def hermite_boxes(draw):
+    """A Hermite basis of up to 4 random rows in Z^n, n <= 4, and a box."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4))
+    return hermite_basis(IntegerMatrix(tuple(rows))), draw(st.tuples(*[st.integers(0, 4)] * n))
+
+
 class TestLatticePointsInBox:
     def test_even_sum_lattice(self):
         basis = IntegerMatrix(((1, 1), (0, 2)))
         got = sorted(lattice_points_in_box(basis, (2, 2)))
         assert got == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
 
-    def test_matches_membership_oracle_randomized(self):
-        rng = random.Random(1707)
-        for _ in range(25):
-            rows = tuple(tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(3))
-            basis = hermite_basis(IntegerMatrix(rows))
-            bounds = tuple(rng.randint(0, 4) for _ in range(3))
-            got = sorted(lattice_points_in_box(basis, bounds))
-            expected = sorted(
-                v
-                for v in itertools.product(*(range(b + 1) for b in bounds))
-                if express_in_basis(v, basis) is not None
-            )
-            assert got == expected
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hermite_boxes())
+    # rank 2 in Z^4
+    @example((IntegerMatrix(((1, 1, 1, 2), (0, 2, -1, 0))), (1, 1, 1, 1)))
+    # the last row is 0 in column 2, which the first row moves out of the box
+    @example((IntegerMatrix(((1, 0, 1), (0, 1, 0))), (2, 2, 0)))
+    # single-point runs: the last row steps by 2 - 3 = -1 in base-2 cell order
+    @example((IntegerMatrix(((1, 0, 1), (0, 1, -3))), (1, 1, 1)))
+    def test_matches_membership_oracle_randomized(self, case):
+        basis, bounds = case
+        assert basis.nrows == 0 or hermite_basis(basis) == basis
+        got = list(lattice_points_in_box(basis, bounds))
+        expected = [
+            v
+            for v in itertools.product(*(range(b + 1) for b in bounds))
+            if express_in_basis(v, basis) is not None
+        ]
+        assert got == expected
+        assert all(u < v for u, v in zip(got, got[1:]))
 
     def test_rank_zero_lattice(self):
         basis = hermite_basis(IntegerMatrix(((0, 0),)))

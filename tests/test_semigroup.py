@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
-from fsig.exact import dot, lattice_points_in_box
+from fsig.exact import dot, express_in_basis, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context, check_normal
 
@@ -34,13 +34,20 @@ def cone_points(presentation, bound):
     }
 
 
+def is_gap(ctx, facets, v):
+    """Whether v is a group-and-cone point that no sum of generators reaches."""
+    return (
+        express_in_basis(v, ctx.lattice) is not None
+        and all(dot(f.coefficients, v) >= 0 for f in facets)
+        and not is_natural_combination(v, ctx.presentation.generators)
+    )
+
+
 def per_point_check_normal(ctx, facets, bound):
     """Independent oracle: decide every box point by its own search."""
     box = [bound] * ctx.presentation.ambient_rank
     for v in lattice_points_in_box(ctx.lattice, box):
-        if all(dot(f.coefficients, v) >= 0 for f in facets) and not is_natural_combination(
-            v, ctx.presentation.generators
-        ):
+        if is_gap(ctx, facets, v):
             return False, v
     return True, None
 
@@ -152,6 +159,14 @@ class TestCheckNormal:
     @example(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))), 4)
     @example(SemigroupPresentation(2, ((0, 3), (1, 1), (3, 0))), 6)
     @example(SemigroupPresentation(3, ((2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))), 3)
+    # rank 2 in Z^4
+    @example(SemigroupPresentation(4, ((1, 1, 1, 2), (1, 3, 0, 2))), 1)
+    # (5, 0) is above the bound, yet its ray bounds the cone
+    @example(SemigroupPresentation(2, ((0, 1), (1, 1), (5, 0))), 3)
+    # lattice ((1, 0, 1), (0, 1, -3)): the last row steps back in base-2 cell order
+    @example(SemigroupPresentation(3, ((2, 0, 2), (3, 0, 3), (3, 1, 0))), 1)
+    # rank 2: the gap (9, 6, 7) is the midpoint of two generators
+    @example(SemigroupPresentation(3, ((9, 2, 3), (9, 4, 5), (9, 8, 9))), 20)
     def test_matches_per_point_oracle(self, presentation, bound):
         ctx, facets = facets_of(presentation)
         verdict = check_normal(ctx, facets, bound)
@@ -159,6 +174,9 @@ class TestCheckNormal:
             ctx, facets, bound
         )
         assert verdict.bound == bound
+        if not verdict.normal:
+            box = itertools.product(range(bound + 1), repeat=presentation.ambient_rank)
+            assert next(v for v in box if is_gap(ctx, facets, v)) == verdict.counterexample
         event("normal" if verdict.normal else "not normal")
 
     def test_bad_bound_rejected(self):
