@@ -18,6 +18,7 @@ from .exact import (
     IntegerMatrix,
     Vector,
     _lattice_runs,
+    _pivot_columns,
     express_in_basis,
     hermite_basis,
     primitive_vector,
@@ -98,10 +99,8 @@ class NormalityVerdict:
 
 def _tile(pattern: int, width: int, copies: int) -> int:
     """sum(pattern << i * width for i in range(copies)), built by doubling."""
-    if copies == 1:
-        return pattern
     odd = pattern << (copies - 1) * width if copies % 2 else 0
-    return _tile(pattern | pattern << width, 2 * width, copies // 2) | odd
+    return odd if copies < 2 else odd | _tile(pattern | pattern << width, 2 * width, copies // 2)
 
 
 def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> NormalityVerdict:
@@ -111,27 +110,27 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
     values >= 0 is a nonnegative integer combination of the generators; the
     lexicographically least failure is returned as a counterexample.
 
-    Closes the nonnegative generators inside the box once per call, in a
-    bitset with bit sum_j v_j * B^(r-1-j) for cell v, B = bound + 1.  Facets
-    cut each run of _lattice_runs to one arithmetic progression of bits.
+    Closes the generators once per call in a bitset with bit sum_k u_k * B^(d-1-k) for
+    Hermite pivot coordinates u in [0, bound]^d, B = bound + 1.  These fix a lattice point,
+    and bit order is lexicographic.  Facets cut each run of _lattice_runs to a bit progression.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    r, base = ctx.presentation.ambient_rank, bound + 1
-    weights = [base ** (r - 1 - j) for j in range(r)]
+    base, pivots = bound + 1, _pivot_columns(ctx.lattice)
+    weights = {p: base**k for k, p in enumerate(reversed(pivots))}  # least significant first
     reach = 1
     for g in ctx.presentation.generators:
         if max(g) <= bound:
-            source = 1  # the cells v with v + g in the box, tiled from the last digit up
-            for x, w in zip(reversed(g), reversed(weights)):
-                source = _tile(source, w, base - x)
-            shift = sum(map(mul, g, weights))
+            source, shift = 1, 0  # source: the cells u with u + g in [0, bound]^d
+            for p, w in weights.items():
+                source, shift = _tile(source, w, base - g[p]), shift + g[p] * w
             while (grown := reach | (reach & source) << shift) != reach:
                 reach = grown
+    bits = reach.to_bytes(reach.bit_length() // 8 + 1, "little")  # a run reads only its bytes
+    last, step = ctx.lattice.rows[-1], ctx.lattice.rows[-1][pivots[-1]]
     rows = [primitive_vector(f.coefficients) for f in facets]
-    slopes = [sum(map(mul, row, ctx.lattice.rows[-1])) for row in rows]
-    step = sum(map(mul, ctx.lattice.rows[-1], weights))
-    for point, lo, hi in _lattice_runs(ctx.lattice, [bound] * r):
+    slopes = [sum(map(mul, row, last)) for row in rows]
+    for point, lo, hi in _lattice_runs(ctx.lattice, [bound] * ctx.presentation.ambient_rank):
         for row, slope in zip(rows, slopes):
             value = sum(map(mul, row, point))
             if slope > 0:
@@ -143,9 +142,10 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
             if lo > hi:
                 break
         else:
-            run = _tile(1, step, hi - lo + 1)  # step > 0 once a run has two cells
-            missing = (run << sum(map(mul, point, weights)) + lo * step) & ~reach
+            start = sum(point[p] * w for p, w in weights.items()) + lo * step
+            window = int.from_bytes(bits[start >> 3 : start + (hi - lo) * step + 8 >> 3], "little")
+            missing = _tile(1, step, hi - lo + 1) & ~(window >> (start & 7))
             if missing:
-                least = (missing & -missing).bit_length() - 1
-                return NormalityVerdict(False, tuple(least // w % base for w in weights), bound)
+                c = lo + ((missing & -missing).bit_length() - 1) // step
+                return NormalityVerdict(False, tuple(a + c * s for a, s in zip(point, last)), bound)
     return NormalityVerdict(True, None, bound)

@@ -362,7 +362,7 @@ class TestLatticePointsInBox:
     @example((IntegerMatrix(((1, 1, 1, 2), (0, 2, -1, 0))), (1, 1, 1, 1)))
     # the last row is 0 in column 2, which the first row moves out of the box
     @example((IntegerMatrix(((1, 0, 1), (0, 1, 0))), (2, 2, 0)))
-    # single-point runs: the last row steps by 2 - 3 = -1 in base-2 cell order
+    # single-point runs: the -3 after the last pivot leaves one c per run
     @example((IntegerMatrix(((1, 0, 1), (0, 1, -3))), (1, 1, 1)))
     def test_matches_membership_oracle_randomized(self, case):
         basis, bounds = case

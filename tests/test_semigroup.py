@@ -11,11 +11,19 @@ from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
 from fsig.exact import dot, express_in_basis, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
-from fsig.semigroup import SemigroupPresentation, build_context, check_normal
+from fsig.semigroup import (
+    NormalityVerdict,
+    SemigroupPresentation,
+    build_context,
+    check_normal,
+)
 
 from oracles import is_natural_combination
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
+
+# 2a, a + b and 2b, with a = (0, ..., 0, 1, 2) and b = (1, ..., 1) in Z^12
+TWO_A, A_PLUS_B, TWO_B = (0,) * 10 + (2, 4), (1,) * 10 + (2, 3), (2,) * 12
 
 
 def facets_of(presentation):
@@ -44,12 +52,10 @@ def is_gap(ctx, facets, v):
 
 
 def per_point_check_normal(ctx, facets, bound):
-    """Independent oracle: decide every box point by its own search."""
-    box = [bound] * ctx.presentation.ambient_rank
-    for v in lattice_points_in_box(ctx.lattice, box):
-        if is_gap(ctx, facets, v):
-            return False, v
-    return True, None
+    """Independent oracle: scan the box in lexicographic order, each point by its own search."""
+    box = itertools.product(range(bound + 1), repeat=ctx.presentation.ambient_rank)
+    gap = next((v for v in box if is_gap(ctx, facets, v)), None)
+    return gap is None, gap
 
 
 @st.composite
@@ -163,10 +169,12 @@ class TestCheckNormal:
     @example(SemigroupPresentation(4, ((1, 1, 1, 2), (1, 3, 0, 2))), 1)
     # (5, 0) is above the bound, yet its ray bounds the cone
     @example(SemigroupPresentation(2, ((0, 1), (1, 1), (5, 0))), 3)
-    # lattice ((1, 0, 1), (0, 1, -3)): the last row steps back in base-2 cell order
+    # lattice ((1, 0, 1), (0, 1, -3)): the -3 after the last pivot cuts runs to one point
     @example(SemigroupPresentation(3, ((2, 0, 2), (3, 0, 3), (3, 1, 0))), 1)
     # rank 2: the gap (9, 6, 7) is the midpoint of two generators
     @example(SemigroupPresentation(3, ((9, 2, 3), (9, 4, 5), (9, 8, 9))), 20)
+    # rank 2 in Z^12: a is the gap of 2a, b, a + b
+    @example(SemigroupPresentation(12, (TWO_A, (1,) * 12, A_PLUS_B)), 6)
     def test_matches_per_point_oracle(self, presentation, bound):
         ctx, facets = facets_of(presentation)
         verdict = check_normal(ctx, facets, bound)
@@ -174,10 +182,13 @@ class TestCheckNormal:
             ctx, facets, bound
         )
         assert verdict.bound == bound
-        if not verdict.normal:
-            box = itertools.product(range(bound + 1), repeat=presentation.ambient_rank)
-            assert next(v for v in box if is_gap(ctx, facets, v)) == verdict.counterexample
         event("normal" if verdict.normal else "not normal")
+
+    def test_closure_size_follows_lattice_rank(self):
+        # 2a, a + b, 2b is normal; a bitset over the box in Z^12 would need 31^12 bits
+        ctx, facets = facets_of(SemigroupPresentation(12, (TWO_A, A_PLUS_B, TWO_B)))
+        assert ctx.rank == 2
+        assert check_normal(ctx, facets, 30) == NormalityVerdict(True, None, 30)
 
     def test_bad_bound_rejected(self):
         ctx, facets = facets_of(FREE2)
