@@ -17,20 +17,20 @@ generator coordinates span Z^rank, so its values on the generators are
 integers with gcd 1: each functional is integral and primitive on the
 generated group, which makes the stacked map T injective with a full image.
 The ambient form of every ray comes from one scaled inverse of the lattice
-basis's Gram matrix.  The facet list is the irredundant (minimal) one,
-ordered lexicographically by primitive ambient representative so that all
-downstream output is deterministic.
+basis's Gram matrix, as a primitive integer ray over an integer denominator.
+The facet list is the irredundant (minimal) one, ordered lexicographically
+by primitive ambient ray so that all downstream output is deterministic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateCone, WitnessNotFound, ZeroFunctional
 from .exact import (
     IntegerMatrix,
     Vector,
-    dot,
     extended_gcd_vector,
     hermite_basis,
     independent_rows,
@@ -75,7 +75,7 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
     for i, a in enumerate(constraints):
         if chosen_bits >> i & 1:
             continue
-        values = [dot(a, r) for r, _ in rays]
+        values = [sum(map(mul, a, r)) for r, _ in rays]
         negative = [(n, rays[n]) for n, v in enumerate(values) if v < 0]
         fresh = []
         for p, (rp, tp) in enumerate(rays):
@@ -96,38 +96,36 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
     return sorted(r for r, _ in rays)
 
 
-def _facets(ctx: SemigroupContext) -> list[tuple[Vector, tuple[Fraction, ...], Vector]]:
-    """(primitive ambient ray, coefficients, lattice ray w) per facet, sorted.
+def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector]]:
+    """(primitive ambient ray, denominator m, lattice ray w) per facet, sorted.
 
     w is a primitive extreme ray of the dual of the generator cone in lattice
     coordinates.  The generator coordinates span Z^rank, so the values of w
     on them have gcd 1: w is the facet's row of T as it stands.  The ambient
     functional is y @ basis with gram @ y = w, so that it agrees with w on the
     basis rows and vanishes on their orthogonal complement.  The gram matrix
-    of independent rows is positive definite, so d = det > 0, inverse @ w is
-    d * y, and the coefficients are (inverse @ w) @ basis / d.
+    of independent rows is positive definite, so d = det > 0 and inverse @ w
+    is d * y.  The inverse is symmetric, so d * y @ basis = w @ (inverse @
+    basis) = g * ray with ray primitive.  ray takes the integers d * w_k / g
+    on the basis rows and w is coprime, so the denominator m = d / g is whole.
     """
     if ctx.rank == 0:
         raise DegenerateCone("generators span only the zero cone")
     basis = ctx.lattice.rows
-    d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
+    d, inverse = scaled_inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
     if d <= 0:
         raise DegenerateCone("lattice basis lost rank")
+    columns = list(zip(*[[sum(map(mul, row, col)) for col in zip(*basis)] for row in inverse]))
     facets = []
     for w in extreme_rays([tuple(c) for c in ctx.generator_coords]):
-        y = [dot(row, w) for row in inverse]
-        scaled = [dot(y, col) for col in zip(*basis)]
-        facets.append((primitive_vector(scaled), tuple(Fraction(x, d) for x in scaled), w))
+        scaled = [sum(map(mul, w, col)) for col in columns]
+        g = gcd(*scaled)
+        facets.append((tuple(x // g for x in scaled), d // g, w))
     return sorted(facets)
 
 
 def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
-    """Minimal generating rays of the dual cone, in ambient coordinates.
-
-    One ray per facet of the cone spanned by the generators, each returned
-    as the primitive integer vector on its ray, vanishing on the orthogonal
-    complement of the span of the generated group.  Sorted lexicographically.
-    """
+    """Minimal generating rays of the dual cone: the facets' ambient rays (see _facets)."""
     return [ray for ray, _, _ in _facets(ctx)]
 
 
@@ -135,24 +133,27 @@ def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
 class FacetFunctional:
     """A facet-defining linear functional, scaled to be primitive.
 
-    coefficients give the functional in ambient coordinates (entries may be
-    non-integral rationals); values_on_generators are its values on the
+    In ambient coordinates it is ray / denominator, a primitive integer ray
+    over a positive integer; values_on_generators are its values on the
     presentation's generators, always nonnegative integers with gcd 1.
     """
 
-    coefficients: tuple[Fraction, ...]
+    ray: Vector
+    denominator: int
     values_on_generators: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values_on_generators)
+        vals = self.values_on_generators
         if any(v < 0 for v in vals):
             raise ValueError("facet functional is negative on a generator")
         if not any(vals):
             raise ZeroFunctional("functional vanishes on every generator")
         if gcd(*vals) != 1:
             raise ValueError("facet values are not coprime; functional not primitive")
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
-        object.__setattr__(self, "values_on_generators", vals)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:  # for display
+        return tuple(Fraction(x, self.denominator) for x in self.ray)
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,8 @@ def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
     if matrix_rank(matrix_t.rows) != ctx.rank:
         raise DegenerateCone("stacked functionals do not separate the lattice")
     functionals = tuple(
-        FacetFunctional(coefficients, tuple(dot(w, c) for c in ctx.generator_coords))
-        for _, coefficients, w in facets
+        FacetFunctional(ray, m, tuple(sum(map(mul, w, c)) for c in ctx.generator_coords))
+        for ray, m, w in facets
     )
     images = tuple(zip(*(f.values_on_generators for f in functionals)))
     image_lattice = hermite_basis(matrix_t.transpose())

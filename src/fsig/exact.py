@@ -1,15 +1,15 @@
 """Exact integer and rational linear algebra kernel.
 
-Scalars are Python ints (arbitrary precision) and fractions.Fraction, so no
-overflow is possible and every result is exact.  Matrices and vectors are
-immutable tuples; all functions here are pure, which makes them safe for
-concurrent use.
+Scalars are Python ints (arbitrary precision), so no overflow is possible
+and every result is exact.  fractions.Fraction is only for the displayed
+facet coefficients, the self_check volume (rational_determinant) and
+solve_linear_system, a reference kept for the tests.  Matrices and vectors
+are immutable tuples; all functions here are pure and thread-safe.
 
 Every elimination is fraction-free (Bareiss): rank, determinant and the
 independent rows come from one forward elimination, _echelon, with rational
 rows first cleared of their denominators, and scaled_inverse runs the same
-scheme as a Gauss-Jordan pass.  The one exception is solve_linear_system, a
-Fraction reference kept for the tests.
+scheme as a Gauss-Jordan pass.
 
 The Hermite normal form convention used throughout the package: row-style,
 upper echelon, positive pivots, and every entry above a pivot reduced into
@@ -21,7 +21,7 @@ coefficients pivot by pivot, the last over the interval the box cuts out.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index
+from operator import add, index, mul
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -57,7 +57,7 @@ def dot(u: Sequence, v: Sequence):
     """Scalar product; works for int and Fraction entries alike."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch in scalar product")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
@@ -305,11 +305,13 @@ def primitive_vector(vec: Sequence) -> Vector:
 
     Entries are ints or Fractions; the denominators are cleared in integers.
     """
-    ints = clear_denominators(vec)[1]
-    g = gcd(*ints)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        g = gcd(*(vec := clear_denominators(vec)[1]))
     if g == 0:
         raise ValueError("the zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 def extended_gcd_vector(values: Sequence[int]) -> tuple[int, Vector]:

@@ -21,7 +21,6 @@ from .exact import (
     _pivot_columns,
     express_in_basis,
     hermite_basis,
-    primitive_vector,
 )
 
 
@@ -108,7 +107,8 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
 
     Decides whether every group member v with 0 <= v_i <= bound and all facet
     values >= 0 is a nonnegative integer combination of the generators; the
-    lexicographically least failure is returned as a counterexample.
+    lexicographically least failure is returned as a counterexample.  facets
+    are FacetFunctionals (emb.functionals), read as their integer rays.
 
     Closes the generators once per call in a bitset with bit sum_k u_k * B^(d-1-k) for
     Hermite pivot coordinates u in [0, bound]^d, B = bound + 1.  These fix a lattice point,
@@ -128,7 +128,7 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
                 reach = grown
     bits = reach.to_bytes(reach.bit_length() // 8 + 1, "little")  # a run reads only its bytes
     last, step = ctx.lattice.rows[-1], ctx.lattice.rows[-1][pivots[-1]]
-    rows = [primitive_vector(f.coefficients) for f in facets]
+    rows = [f.ray for f in facets]
     slopes = [sum(map(mul, row, last)) for row in rows]
     for point, lo, hi in _lattice_runs(ctx.lattice, [bound] * ctx.presentation.ambient_rank):
         for row, slope in zip(rows, slopes):

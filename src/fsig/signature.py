@@ -40,7 +40,10 @@ class SignaturePolytope:
 
     @cached_property
     def _homogeneous(self) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
-        """Scales t_j and primitive integer rows r_j, vertex j = r_j / t_j: the DD rays."""
+        """Scales t_j and primitive integer rows r_j, vertex j = r_j / t_j.
+
+        These are the cleared vertices; signature_polytope sets its DD rays here.
+        """
         return tuple(zip(*map(clear_denominators, self.vertices)))
 
 
@@ -75,8 +78,11 @@ def signature_polytope(emb: FullEmbedding) -> SignaturePolytope:
         raise Unbounded("origin is not a vertex; embedding is invalid")
     if matrix_rank(rays) != d + 1:
         raise Unbounded("signature polytope is not full-dimensional")
-    vertices = tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays))
-    return SignaturePolytope(tuple(half_spaces), vertices, d)
+    ordered = sorted((tuple(Fraction(x, ray[-1]) for x in ray[:-1]), ray) for ray in rays)
+    polytope = SignaturePolytope(tuple(half_spaces), tuple(v for v, _ in ordered), d)
+    homogeneous = tuple(r[-1] for _, r in ordered), tuple(list(r[:-1]) for _, r in ordered)
+    object.__setattr__(polytope, "_homogeneous", homogeneous)  # fills the cached_property
+    return polytope
 
 
 def _facets(face: int, tight: set[int]) -> list[int]:

@@ -252,3 +252,126 @@ class TestSelftest:
         assert main(["selftest", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"] == 0
+
+
+# rank 3 in Z^4: the coefficients have denominators 11, 22 and 44, and the
+# group generated has index 4 in its saturation
+SLANTED = [[2, 0, 1, 3], [0, 2, 1, 3], [3, 1, 0, 2], [1, 3, 0, 2]]
+
+FACETS_GOLDEN = {
+    "rescaled": (
+        2,
+        [[2, 0], [0, 2]],
+        """\
+lattice rank 2, 2 facet functionals
+  w0: coefficients (0/1, 1/2)  values on generators (0, 1)
+  w1: coefficients (1/2, 0/1)  values on generators (1, 0)
+embedding matrix (rows act on lattice coordinates):
+     0     1
+     1     0
+image generators:
+  (2, 0) -> (0, 1)
+  (0, 2) -> (1, 0)
+""",
+        {
+            "lattice_rank": 2,
+            "lattice_basis": [[2, 0], [0, 2]],
+            "facets": [
+                {"coefficients": ["0/1", "1/2"], "values_on_generators": [0, 1]},
+                {"coefficients": ["1/2", "0/1"], "values_on_generators": [1, 0]},
+            ],
+            "embedding_matrix": [[0, 1], [1, 0]],
+            "image_generators": [[0, 1], [1, 0]],
+        },
+    ),
+    "v22": (
+        2,
+        [[2, 0], [1, 1], [0, 2]],
+        """\
+lattice rank 2, 2 facet functionals
+  w0: coefficients (0/1, 1/1)  values on generators (0, 1, 2)
+  w1: coefficients (1/1, 0/1)  values on generators (2, 1, 0)
+embedding matrix (rows act on lattice coordinates):
+     1     2
+     1     0
+image generators:
+  (2, 0) -> (0, 2)
+  (1, 1) -> (1, 1)
+  (0, 2) -> (2, 0)
+""",
+        {
+            "lattice_rank": 2,
+            "lattice_basis": [[1, 1], [0, 2]],
+            "facets": [
+                {"coefficients": ["0/1", "1/1"], "values_on_generators": [0, 1, 2]},
+                {"coefficients": ["1/1", "0/1"], "values_on_generators": [2, 1, 0]},
+            ],
+            "embedding_matrix": [[1, 2], [1, 0]],
+            "image_generators": [[0, 2], [1, 1], [2, 0]],
+        },
+    ),
+    "slanted": (
+        4,
+        SLANTED,
+        """\
+lattice rank 3, 4 facet functionals
+  w0: coefficients (-2/11, 7/22, 1/44, 5/44)  values on generators (0, 1, 0, 1)
+  w1: coefficients (-2/11, -2/11, 3/11, 4/11)  values on generators (1, 1, 0, 0)
+  w2: coefficients (7/22, 7/22, -5/22, -3/22)  values on generators (0, 0, 1, 1)
+  w3: coefficients (7/22, -2/11, 1/44, 5/44)  values on generators (1, 0, 1, 0)
+embedding matrix (rows act on lattice coordinates):
+     1     1     1
+     3     1     4
+    -1     0    -2
+     1     0     1
+image generators:
+  (2, 0, 1, 3) -> (0, 1, 0, 1)
+  (0, 2, 1, 3) -> (1, 1, 0, 0)
+  (3, 1, 0, 2) -> (0, 0, 1, 1)
+  (1, 3, 0, 2) -> (1, 0, 1, 0)
+""",
+        {
+            "lattice_rank": 3,
+            "lattice_basis": [[1, 1, 3, 7], [0, 2, 1, 3], [0, 0, 4, 8]],
+            "facets": [
+                {
+                    "coefficients": ["-2/11", "7/22", "1/44", "5/44"],
+                    "values_on_generators": [0, 1, 0, 1],
+                },
+                {
+                    "coefficients": ["-2/11", "-2/11", "3/11", "4/11"],
+                    "values_on_generators": [1, 1, 0, 0],
+                },
+                {
+                    "coefficients": ["7/22", "7/22", "-5/22", "-3/22"],
+                    "values_on_generators": [0, 0, 1, 1],
+                },
+                {
+                    "coefficients": ["7/22", "-2/11", "1/44", "5/44"],
+                    "values_on_generators": [1, 0, 1, 0],
+                },
+            ],
+            "embedding_matrix": [[1, 1, 1], [3, 1, 4], [-1, 0, -2], [1, 0, 1]],
+            "image_generators": [[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]],
+        },
+    ),
+}
+
+
+class TestFacetsCommand:
+    @pytest.mark.parametrize("name", sorted(FACETS_GOLDEN))
+    def test_output_is_pinned(self, tmp_path, capsys, name):
+        # text and --json, byte for byte: the rational coefficients are derived
+        # from the integer rays, and must print exactly as they always have
+        rank, generators, text, body = FACETS_GOLDEN[name]
+        path = write_doc(tmp_path / f"{name}.json", rank, generators, name=name)
+        assert main(["facets", path]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["facets", path, "--json"]) == 0
+        doc = {
+            "format_version": 1,
+            "command": "facets",
+            "input": {"name": name, "ambient_rank": rank, "generators": generators},
+            **body,
+        }
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

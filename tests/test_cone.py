@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -217,6 +218,26 @@ class TestFullEmbedding:
             values = tuple(dot(w, c) for c in ctx.generator_coords)
             assert values == f.values_on_generators
             assert values == tuple(dot(f.coefficients, g) for g in presentation.generators)
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [FREE2, RESCALED, segre_generators(2, 3), segre_generators(3, 3)]
+        + [veronese_generators(d, n) for d in (2, 3) for n in (2, 3)]
+        + random_presentations(20250811, 40),
+        ids=lambda p: p.name,
+    )
+    def test_integer_ray_gives_the_coefficients(self, presentation):
+        # the stored ray is the primitive form of the rational functional,
+        # the denominator is its common denominator, and the functional takes
+        # the values of its row w of T on the Hermite basis rows
+        ctx = build_context(presentation)
+        emb = full_embedding(ctx)
+        for w, f in zip(emb.matrix_T.rows, emb.functionals):
+            coefficients = f.coefficients
+            assert f.ray == primitive_vector(coefficients)
+            assert gcd(*f.ray) == 1 and f.denominator > 0
+            assert f.denominator == lcm(*(c.denominator for c in coefficients))
+            assert tuple(dot(coefficients, b) for b in ctx.lattice.rows) == w
 
     def test_rescaled_presentation_embeds_onto_unit_vectors(self):
         emb = full_embedding(build_context(RESCALED))

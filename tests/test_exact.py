@@ -13,6 +13,7 @@ from fsig.exact import (
     IntegerMatrix,
     count_lattice_points,
     determinant,
+    dot,
     express_in_basis,
     extended_gcd_vector,
     hermite_basis,
@@ -482,6 +483,36 @@ class TestSmallHelpers:
         assert primitive_vector((4, -6)) == (2, -3)
         with pytest.raises(ValueError):
             primitive_vector((0, 0))
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ((4, -6, 0, 10), (2, -3, 0, 5)),
+            ((-3, -9), (-1, -3)),
+            ((0, -7, 0), (0, -1, 0)),
+            ((1, Fraction(1, 2), -2), (2, 1, -4)),
+            ((Fraction(2), 4, 0), (1, 2, 0)),
+            ((Fraction(-2, 3), 0, 4), (-1, 0, 6)),
+        ],
+        ids=["integer", "negative", "single", "mixed", "fraction-one", "mixed-negative"],
+    )
+    def test_primitive_vector_integer_and_mixed_rows(self, row, expected):
+        result = primitive_vector(row)
+        assert result == expected
+        assert all(type(x) is int for x in result)
+
+    @pytest.mark.parametrize("row", [(0, 0, 0), (0,), (), (Fraction(0), 0)], ids=str)
+    def test_primitive_vector_of_zero_raises(self, row):
+        with pytest.raises(ValueError):
+            primitive_vector(row)
+
+    def test_dot(self):
+        assert dot((1, -2, 3), (4, 5, -6)) == -24
+        assert dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
+        assert dot((), ()) == 0
+        for u, v in [((1, 2), (1, 2, 3)), ((1,), ()), ((), (0,))]:
+            with pytest.raises(ValueError):
+                dot(u, v)
 
     def test_extended_gcd_vector_randomized(self):
         rng = random.Random(1708)

@@ -28,6 +28,36 @@ def test_every_module_level_import_is_used():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def _fraction_calls(node, scope=()):
+    """The qualified name of the scope of every Fraction(...) call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "Fraction" in (
+            getattr(child.func, "id", None),
+            getattr(child.func, "attr", None),
+        ):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from _fraction_calls(child, scope + (child.name,) if named else scope)
+
+
+def test_facet_functionals_stay_integer():
+    # from the double description to check_normal the functionals are integer
+    # rays; only FacetFunctional.coefficients renders them as Fractions
+    package = Path(fsig.__file__).parent
+    semigroup = ast.parse((package / "semigroup.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(semigroup):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert not names & {"Fraction", "fractions", "primitive_vector"}
+    cone = ast.parse((package / "cone.py").read_text(encoding="utf-8"))
+    assert set(_fraction_calls(cone)) == {"FacetFunctional.coefficients"}
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -8,7 +8,7 @@ import pytest
 
 from fsig.cone import FullEmbedding, full_embedding
 from fsig.errors import Unbounded
-from fsig.exact import IntegerMatrix
+from fsig.exact import IntegerMatrix, clear_denominators
 from fsig.families import segre_generators, segre_signature, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import (
@@ -174,6 +174,17 @@ class TestPolytopeVolume:
         p = signature_polytope(emb)
         assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
         assert polytope_volume(p, self_check=True) == polytope_volume(p)
+
+    @pytest.mark.parametrize(
+        "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
+    )
+    def test_rows_and_scales_are_the_cleared_vertices(self, presentation):
+        # signature_polytope sets the DD rays as the homogeneous rows and
+        # scales; clearing the rational vertices must give the same
+        p = signature_polytope(full_embedding(build_context(presentation)))
+        assert p._homogeneous == tuple(zip(*map(clear_denominators, p.vertices)))
+        rebuilt = SignaturePolytope(p.half_spaces, p.vertices, p.dim)
+        assert rebuilt._homogeneous == p._homogeneous
 
     @pytest.mark.parametrize(
         "presentation",
