@@ -21,7 +21,7 @@ coefficients pivot by pivot, the last over the interval the box cuts out.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index, mul
+from operator import add, index, itemgetter, mul
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -222,8 +222,10 @@ def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of int/Fraction rows (row scaling keeps it)."""
-    return len(_echelon([clear_denominators(row)[1] for row in rows])[0])
+    """Rank over the rationals of int/Fraction rows; a Fraction entry is cleared first."""
+    if not all(isinstance(x, int) for row in rows for x in row):
+        rows = [clear_denominators(row)[1] for row in rows]  # row scaling keeps the rank
+    return len(_echelon(rows)[0])
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -422,8 +424,13 @@ def count_lattice_points(
     each surviving avoid vector another: the count is the box interval minus
     the union of the avoid intervals.
 
+    The count below row k depends only on k, the coordinates still open
+    there and the set of live avoid vectors, as rows k.. change and read no
+    final coordinate; it is memoized on that key, in a dict local to the call.
+
     With limit set, counting stops once the running count passes it, and the
-    returned number is then some count above limit.
+    returned number is then some count above limit: a memoized branch can
+    carry it far past limit in one step.  A branch cut short is not memoized.
     """
     bounds = [int(b) for b in bounds]
     ncols = len(bounds)
@@ -448,7 +455,7 @@ def count_lattice_points(
         if all(x <= 0 for x, lev in zip(v, level) if lev < 0):
             if end < 0:
                 return 0
-            live.append((v, end))
+            live.append((v, end, 1 << len(live)))
     if d == 0:
         return 1
     # The last coefficient c moves its pivot coordinate and the other columns
@@ -457,7 +464,9 @@ def count_lattice_points(
     step = rows[-1][last]
     rising = [(j, rows[-1][j]) for j in final[-1] if rows[-1][j] > 0]
     falling = [(j, -rows[-1][j]) for j in final[-1] if rows[-1][j] < 0]
-    total, cap = 0, float("inf") if limit is None else limit
+    # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
+    opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d)]
+    memo: dict[tuple, int] = {}
 
     def count_last(point: list[int], live) -> int:
         lo, hi = -(point[last] // step), (bounds[last] - point[last]) // step
@@ -470,7 +479,7 @@ def count_lattice_points(
         if not live:
             return hi - lo + 1
         cuts = []  # per live v, the c in [lo, hi] whose point dominates v
-        for v, _ in live:
+        for v, _, _ in live:
             vlo, vhi = max(lo, -((point[last] - v[last]) // step)), hi
             for j, s in rising:
                 vlo = max(vlo, -((point[j] - v[j]) // s))
@@ -485,14 +494,16 @@ def count_lattice_points(
                 reach = vhi
         return hi - lo + 1 - covered
 
-    def rec(k: int, point: list[int], live) -> None:
-        nonlocal total
+    def rec(k: int, point: list[int], live, room) -> int:
+        key = (k, sum(item[2] for item in live), opened[k](point))
+        if key in memo:
+            return memo[key]
         row, p, others = rows[k], pivots[k], final[k]
         step = row[p]
         # The pivot coordinate grows with c, so the vectors it passes are a
         # growing prefix of live sorted by their pivot entry.
         live = sorted(live, key=lambda item: item[0][p])
-        passed, least_end = 0, d
+        passed, least_end, count = 0, d, 0
         for c in range(-(point[p] // step), (bounds[p] - point[p]) // step + 1):
             moved = point[:p] + [a + c * s for a, s in zip(point[p:], row[p:])]
             if others and not all(0 <= moved[j] <= bounds[j] for j in others):
@@ -503,18 +514,16 @@ def count_lattice_points(
             kept = live[:passed]
             if others:
                 kept = [item for item in kept if all(moved[j] >= item[0][j] for j in others)]
-                if kept and min(end for _, end in kept) <= k:
+                if kept and min(end for _, end, _ in kept) <= k:
                     continue
             elif least_end <= k:
                 break  # some vector is dominated by every point of this and later branches
-            if k + 2 < d:
-                rec(k + 1, moved, kept)
-            else:
-                total += count_last(moved, kept)
-            if total > cap:
-                return
+            count += rec(k + 1, moved, kept, room - count) if k + 2 < d else count_last(moved, kept)
+            if count > room:
+                return count  # a partial count, never memoized
+        memo[key] = count
+        return count
 
     if d == 1:
         return count_last([0] * ncols, live)
-    rec(0, [0] * ncols, live)
-    return total
+    return rec(0, [0] * ncols, live, float("inf") if limit is None else limit)

@@ -7,9 +7,10 @@ reduces to counting lattice points.  The same comparison drives the
 colength counts: a monomial lies in a monomial ideal exactly when it
 componentwise dominates q times one of the ideal's minimal generators, so a
 colength is the number of image-group points in N^n that dominate none of
-them.  Both are counted by exact.count_lattice_points, never enumerated.
-Like f_signature, both count the image group inside N^n, which is the
-semigroup of a normal input and the normalization of any other.
+them.  Both come from exact.count_lattice_points, which enumerates no point
+and counts the coefficient prefixes that share an open state once.  Like
+f_signature, both count the image group inside N^n, which is the semigroup
+of a normal input and the normalization of any other.
 
 q is accepted as any positive integer, not only a prime power: everything
 computed here is lattice combinatorics, and the identities it verifies hold

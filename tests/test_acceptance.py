@@ -8,6 +8,7 @@ per-criterion lines.
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -133,7 +134,15 @@ def test_criterion_4_segre_closed_form():
         emb = emb_of(segre_generators(r, s))
         for q in range(1, 9):
             assert segre_aq_closed_form(r, s, q) == count_aq(emb, q).a_q, (r, s, q)
-    report("ACCEPTANCE 4 (segre closed form == count_aq, q=1..8): PASS")
+    # large q: sum_i (-1)^i C(d+1, i) C(q(s-i) + d - s, d) with d = r + s - 1
+    for r, s, q, a_q in ((3, 4, 40, 1_735_299_580), (4, 4, 64, 2_108_508_564_928)):
+        d = r + s - 1
+        closed = sum(
+            (-1) ** i * comb(d + 1, i) * comb(q * (s - i) + d - s, d) for i in range(s + 1)
+        )
+        assert closed == segre_aq_closed_form(r, s, q) == a_q, (r, s, q)
+        assert count_aq(emb_of(segre_generators(r, s)), q).a_q == a_q, (r, s, q)
+    report("ACCEPTANCE 4 (segre closed form == count_aq, q=1..8, q=40 and 64): PASS")
 
 
 def test_criterion_5_hk_difference_identity():
@@ -174,7 +183,11 @@ def test_criterion_7_veronese_counting_law():
         emb = emb_of(veronese_generators(d, n))
         for k in (1, 2, 3):
             assert count_aq(emb, k * n).a_q == k**d * n ** (d - 1), (d, n, k)
-    report("ACCEPTANCE 7 (veronese counting law f(kn) = k^d n^(d-1)): PASS")
+    # large q: veronese(3,3) at q = k * n with k = 100
+    d, n, k = 3, 3, 100
+    a_q = count_aq(emb_of(veronese_generators(d, n)), k * n).a_q
+    assert a_q == k**d * n ** (d - 1) == 9_000_000
+    report("ACCEPTANCE 7 (veronese counting law f(kn) = k^d n^(d-1), up to q=300): PASS")
 
 
 def test_criterion_8_invariance_suite():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fsig.cli import main
+from fsig.families import segre_aq_closed_form
 
 
 def write_doc(path, rank, generators, name=None, version=1):
@@ -90,6 +91,15 @@ class TestAqCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [row["a_q"] for row in doc["table"]] == [2, 8]
         assert [row["ratio"] for row in doc["table"]] == ["1/2", "1/2"]
+
+    def test_large_q_count(self, tmp_path, capsys):
+        emitted = tmp_path / "s34.json"
+        main(["family", "segre", "3", "4", "--emit", str(emitted)])
+        capsys.readouterr()
+        assert main(["aq", str(emitted), "--q", "40", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["a_q"] for row in doc["table"]] == [1_735_299_580]
+        assert segre_aq_closed_form(3, 4, 40) == 1_735_299_580
 
     def test_bad_q_list_exit_2(self, veronese22_file, capsys):
         # unsorted, nonpositive and empty q lists

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsig import exact
 from fsig.cone import full_embedding
 from fsig.exact import (
     IntegerMatrix,
@@ -26,7 +28,7 @@ from fsig.exact import (
     solve_integer_combination,
     solve_linear_system,
 )
-from fsig.families import segre_generators, veronese_generators
+from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.semigroup import build_context
 
 
@@ -192,6 +194,20 @@ class TestFractionFreeElimination:
         assert matrix_rank([(0, 1), (0, 2), (0, 3)]) == 1
         assert matrix_rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
         assert matrix_rank([(0, 0, 1), (0, 1, 0), (1, 0, 0)]) == 3
+
+    def test_matrix_rank_clears_only_fraction_rows(self, monkeypatch):
+        # one Fraction entry anywhere sends every row through clear_denominators
+        assert matrix_rank([(1, 2), (Fraction(1, 2), 1)]) == 1
+        assert matrix_rank([(1, 0), (Fraction(1, 3), 1)]) == 2
+        assert matrix_rank([(3, 6, 9), (1, 2, 3), (Fraction(2), 4, 6)]) == 1
+        assert matrix_rank([(2, 4), (1, Fraction(7, 3))]) == 2
+
+        def refuse(row):
+            raise AssertionError(f"integer row {row} was cleared")
+
+        monkeypatch.setattr(exact, "clear_denominators", refuse)
+        assert matrix_rank([(2, 4, 6), (1, 2, 3), (0, 1, 1)]) == 2
+        assert matrix_rank([(True, 0), (0, 5)]) == 2
 
     def test_determinant_matches_cofactor_with_swaps(self):
         rng = random.Random(2025)
@@ -402,6 +418,15 @@ HAND_MADE_BASES = (
     ((1, 0, 3, 3), (0, 1, -1, -2)),
 )
 
+# Hermite bases whose early rows leave the open columns at zero or move only
+# columns that a later row also moves, so many coefficient prefixes reach the
+# same open state and the memo answers most of the walk.
+MEMO_BASES = (
+    ((1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 1, 1), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)),
+    ((2, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 3, 0, 2), (0, 0, 0, 1, -1)),
+    ((1, 1, 0, 0, 0), (0, 2, 0, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 2, 1)),
+)
+
 
 class TestCountLatticePoints:
     @pytest.mark.parametrize("rows", HAND_MADE_BASES)
@@ -471,6 +496,49 @@ class TestCountLatticePoints:
         assert count_lattice_points(basis, (5, 5, 5, 5), limit=full) == full
         for limit in (0, 1, full // 2, full - 1):
             assert count_lattice_points(basis, (5, 5, 5, 5), limit=limit) > limit
+
+    def test_limit_under_the_memo(self):
+        # segre(2,3)'s Hermite basis reaches the last column from every row,
+        # so coefficient prefixes share open states and memoized counts
+        emb = full_embedding(build_context(segre_generators(2, 3)))
+        basis, bounds = emb.image_lattice, (5,) * emb.num_coordinates
+        for avoid in ([], [(2, 1, 3, 0, 4), (1, 4, 0, 2, 2), (3, 3, 3, 3, 3)]):
+            full = count_lattice_points(basis, bounds, avoid)
+            assert full == counted_by_enumeration(basis, bounds, avoid)
+            for limit in range(full + 2):
+                counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+                if full > limit:
+                    assert counted > limit, (avoid, limit)
+                else:
+                    assert counted == full, (avoid, limit)
+
+    @pytest.mark.parametrize("rows", MEMO_BASES)
+    def test_shared_open_states_match_enumeration(self, rows):
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        rng = random.Random(3141)
+        n = basis.ncols
+        for _ in range(30):
+            bounds = tuple(rng.randint(2, 7) for _ in range(n))
+            avoid = [tuple(rng.randint(-1, 5) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            assert count_lattice_points(basis, bounds) == counted_by_enumeration(basis, bounds)
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+            limit = rng.randint(0, expected)
+            counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+            assert counted > limit if expected > limit else counted == expected
+
+    def test_threads_count_what_a_serial_run_counts(self):
+        emb = full_embedding(build_context(segre_generators(3, 3)))
+        basis, n = emb.image_lattice, emb.num_coordinates
+        avoid = [tuple(3 * x for x in g) for g in emb.image_generators[:4]]
+        boxes = [((q - 1,) * n, avoid[: q % 3]) for q in (7, 9, 11, 12)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda box: count_lattice_points(basis, *box), boxes))
+        serial = [count_lattice_points(basis, bounds, vs) for bounds, vs in boxes]
+        assert threaded == serial
+        # the two boxes without avoid vectors are a_q
+        assert [threaded[1], threaded[3]] == [segre_aq_closed_form(3, 3, q) for q in (9, 12)]
 
     def test_avoid_length_checked(self):
         with pytest.raises(ValueError):

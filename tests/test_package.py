@@ -58,6 +58,29 @@ def test_facet_functionals_stay_integer():
     assert set(_fraction_calls(cone)) == {"FacetFunctional.coefficients"}
 
 
+def test_exact_keeps_no_module_state():
+    # the counter's memo lives in each call, so the kernel stays thread-safe:
+    # no module-level dict and no functools cache in fsig.exact
+    tree = ast.parse((Path(fsig.__file__).parent / "exact.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.unparse(node)
+            if isinstance(value, ast.Call):
+                assert getattr(value.func, "id", None) not in {"dict", "defaultdict"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    assert not names & {"functools", "cache", "lru_cache", "cached_property"}
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
