@@ -10,7 +10,7 @@ certifies it up to a finite bound only, against a bitset over the box.
 """
 
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .errors import EmptyPresentation, InvalidPresentation
@@ -35,7 +35,10 @@ class SemigroupPresentation:
     def __post_init__(self):
         if self.ambient_rank < 1:
             raise InvalidPresentation("ambient rank must be a positive integer")
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        try:
+            gens = tuple(tuple(map(index, g)) for g in self.generators)
+        except TypeError:
+            raise InvalidPresentation("generator coordinates must be integers") from None
         if not gens:
             raise EmptyPresentation("a presentation needs at least one generator")
         seen = set()

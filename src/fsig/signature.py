@@ -7,19 +7,19 @@ limit of those normalized counts.  Vertices are found by double description
 on the homogenization cone, as primitive integer rays (r, t) for the vertex
 r / t, and the volume is computed in these integer rows and scales: integer
 tight sets give the vertex-incidence face lattice (faces are bitmasks of
-vertices), and its fan triangulation is summed as integer determinants over
-one common denominator.
+vertices); its fan is walked with one fraction-free step per face, |det| read
+at each vertex over one denominator; self_check keeps the centroid route.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import mul
 
 from .cone import FullEmbedding, extreme_rays, full_embedding
 from .errors import Unbounded
-from .exact import Vector, clear_denominators, determinant, matrix_rank, rational_determinant, vsub
+from .exact import Vector, clear_denominators, matrix_rank, rational_determinant, vsub
 from .semigroup import SemigroupPresentation, build_context
 
 RationalVector = tuple[Fraction, ...]
@@ -94,16 +94,18 @@ def _facets(face: int, tight: set[int]) -> list[int]:
     return kept
 
 
-def _triangulate(face: int, tight: set[int], memo: dict) -> list[tuple[int, ...]]:
+def _pulled(face: int, tight: set[int], memo: dict) -> tuple[int, list[int], list[int]]:
+    """Apex (lowest vertex index), facets missing it and other vertices of a face, memoized."""
     if face not in memo:
         apex = (face & -face).bit_length() - 1
-        memo[face] = [
-            (apex,) + s
-            for f in _facets(face, tight)
-            if not f >> apex & 1
-            for s in _triangulate(f, tight, memo)
-        ] or [(apex,)]  # a vertex has no facets
+        others = [j for j in range(apex + 1, face.bit_length()) if face >> j & 1]
+        memo[face] = apex, [f for f in _facets(face, tight) if not f >> apex & 1], others
     return memo[face]
+
+
+def _triangulate(face: int, tight: set[int], memo: dict) -> list[tuple[int, ...]]:
+    apex, facets, _ = _pulled(face, tight, memo)
+    return [(apex,) + s for f in facets for s in _triangulate(f, tight, memo)] or [(apex,)]
 
 
 def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]]]:
@@ -113,12 +115,12 @@ def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]
     the inclusion-maximal proper nonempty F & tight_i, where tight_i holds the
     vertices on the boundary of half-space i (see _tight_sets).  A face is
     fanned from its lowest-index (lex-least) vertex over its facets that miss
-    that vertex, down to single vertices, and each face is triangulated once.
-    Simplices are tuples of vertex indices.
+    that vertex, down to single vertices (see _pulled).  Simplices are tuples
+    of vertex indices.  polytope_volume walks the same fan without listing it.
     """
     tight = _tight_sets(polytope)
     everything = (1 << len(polytope.vertices)) - 1
-    memo: dict[int, list[tuple[int, ...]]] = {}
+    memo: dict[int, tuple[int, list[int], list[int]]] = {}
     return {f: _triangulate(f, tight, memo) for f in _facets(everything, tight)}
 
 
@@ -136,33 +138,48 @@ def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fr
 
     With vertex x_i = r_i / t_i and L the lcm of all the scales, the simplex
     on the origin and x_1..x_d has volume |det(r_1..r_d)| prod(L / t_i) over
-    L^d d!, so the integer numerators are summed and one Fraction is built at
-    the end.  With self_check=True the volume is recomputed from a second
-    decomposition (pyramids over every facet from the vertex centroid, by
-    rational elimination) and the two values must agree.
+    L^d d!.  Each facet missing the origin is walked down its fan with one
+    Bareiss step per face, pivoting on the apex's row; +-det is the entry left
+    at a vertex, and a zero apex row (a broken face lattice) raises
+    ArithmeticError.  With self_check=True the volume is recomputed from
+    pyramids over every facet from the vertex centroid and must agree.
     """
     d = polytope.dim
-    verts = polytope.vertices
     if d == 0:
         return Fraction(1)
-    fan = _boundary_fan(polytope)
+    tight = _tight_sets(polytope)
     scales, rows = polytope._homogeneous
     origin = rows.index([0] * d)
     common = lcm(*scales)
     weights = [common // t for t in scales]
-    numerator = 0
-    for facet, simplices in fan.items():
-        if not facet >> origin & 1:
-            for s in simplices:
-                det = determinant([rows[i] for i in s])
-                numerator += abs(det) * prod(weights[i] for i in s)
+    memo: dict[int, tuple[int, list[int], list[int]]] = {}
+
+    def walk(face: int, reduced, prev: int) -> int:
+        # reduced[j]: vertex j's row after one Bareiss step per face above
+        apex, facets, others = _pulled(face, tight, memo)
+        row = reduced[apex]
+        p = next(filter(None, row), 0)
+        if not p or (not facets and (others or len(row) > 1)):
+            raise ArithmeticError(f"face {face:#b} does not fan into simplices")
+        if not facets:  # the one entry left is the simplex's determinant up to sign
+            return weights[apex] * abs(p)
+        c = row.index(p)
+        rest = row[:c] + row[c + 1 :]
+        below = {}
+        for j in others:
+            r = reduced[j]
+            below[j] = [(p * x - r[c] * y) // prev for x, y in zip(r[:c] + r[c + 1 :], rest)]
+        return weights[apex] * sum(walk(g, below, p) for g in facets)
+
+    facets = _facets((1 << len(rows)) - 1, tight)
+    numerator = sum(walk(f, rows, 1) for f in facets if not f >> origin & 1)
     total = Fraction(numerator, common**d * factorial(d))
     if self_check:
-        centroid = tuple(sum(v[j] for v in verts) / len(verts) for j in range(d))
-        apart = [vsub(v, centroid) for v in verts]
+        centroid = tuple(sum(v[j] for v in polytope.vertices) / len(rows) for j in range(d))
+        apart = [vsub(v, centroid) for v in polytope.vertices]
         second = sum(
             abs(rational_determinant([apart[i] for i in s]))
-            for simplices in fan.values()
+            for simplices in _boundary_fan(polytope).values()
             for s in simplices
         ) / factorial(d)
         if second != total:

@@ -1,8 +1,11 @@
 """Reference decisions for the tests, independent of the code under test."""
 
+from fractions import Fraction
+from math import factorial, lcm, prod
 from typing import Sequence
 
-from fsig.exact import Vector
+from fsig.exact import Vector, determinant
+from fsig.signature import _boundary_fan
 
 
 def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bool:
@@ -43,3 +46,27 @@ def fraction_tight_sets(half_spaces, vertices) -> set[int]:
         sum(1 << j for j, v in enumerate(vertices) if sum(x * y for x, y in zip(a, v)) == b)
         for a, b in half_spaces
     }
+
+
+def fan_volume(polytope) -> Fraction:
+    """The polytope's volume summed one simplex at a time over the listed fan.
+
+    Every simplex of _boundary_fan on a facet missing the origin gets its own
+    Bareiss determinant of the cleared vertex rows r_i, times the weights
+    L / t_i (L the lcm of the scales t_i), over L^d d!.  It reads the same
+    fan as polytope_volume, so it checks the walk's elimination, not the
+    face lattice.
+    """
+    d = polytope.dim
+    if d == 0:
+        return Fraction(1)
+    scales, rows = polytope._homogeneous
+    origin = rows.index([0] * d)
+    common = lcm(*scales)
+    numerator = sum(
+        abs(determinant([rows[i] for i in s])) * prod(common // scales[i] for i in s)
+        for facet, simplices in _boundary_fan(polytope).items()
+        if not facet >> origin & 1
+        for s in simplices
+    )
+    return Fraction(numerator, common**d * factorial(d))

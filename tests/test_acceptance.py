@@ -39,20 +39,25 @@ SEGRE_CASES = [
     ((3, 2), Fraction(11, 24)),
     ((3, 3), Fraction(11, 20)),
 ]
+# A(8,5)/8!; too large for the counting criteria, which take SEGRE_CASES
+SEGRE_LARGE = ((4, 5), Fraction(15619, 40320))
 
 
 def test_criterion_1_segre_signatures():
     """Signature of each Segre product equals the Eulerian closed form."""
     start = time.time()
-    for (r, s), expected in SEGRE_CASES:
+    for (r, s), expected in SEGRE_CASES + [SEGRE_LARGE]:
         value = f_signature(segre_generators(r, s)).value
         assert value == expected == segre_signature(r, s), (r, s, value)
     elapsed = time.time() - start
     assert elapsed < 10
-    report(f"ACCEPTANCE 1 (segre signatures 2/3, 11/24, 11/24, 11/20): PASS in {elapsed:.1f}s")
+    report(
+        "ACCEPTANCE 1 (segre signatures 2/3, 11/24, 11/24, 11/20, "
+        f"segre(4,5) 15619/40320): PASS in {elapsed:.1f}s"
+    )
 
 
-VERONESE_CONSISTENT = [(d, n) for d in (2, 3, 4) for n in (1, 2, 3, 4, 5)] + [(1, 1)]
+VERONESE_CONSISTENT = [(d, n) for d in (2, 3, 4) for n in (1, 2, 3, 4, 5)] + [(1, 1), (7, 2)]
 VERONESE_SINGLE_VARIABLE = [(1, n) for n in (2, 3, 4, 5)]
 
 
@@ -65,7 +70,7 @@ def test_criterion_2_veronese_signatures():
     elapsed = time.time() - start
     assert elapsed < 30
     report(
-        "ACCEPTANCE 2 (veronese signatures 1/n, d >= 2 plus (1,1)): "
+        "ACCEPTANCE 2 (veronese signatures 1/n, d >= 2 plus (1,1), up to veronese(7,2)): "
         f"PASS on {len(VERONESE_CONSISTENT)} cases in {elapsed:.1f}s"
     )
 

@@ -55,6 +55,33 @@ def cofactor_determinant(rows):
     return total
 
 
+class TestIntegerMatrix:
+    def test_int_rows_kept_as_tuples(self):
+        m = IntegerMatrix([[1, 2], [3, -4]])
+        assert m.rows == ((1, 2), (3, -4))
+        assert (m.nrows, m.ncols) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((Fraction(3, 2), 1.7),), ((1, 2), (3, 4.0)), ((Fraction(2), 1),), ((1, "2"),)],
+        ids=["fraction-and-float", "integral-float", "integral-fraction", "string"],
+    )
+    def test_non_integer_entry_rejected(self, rows):
+        # these were truncated by int() before: ((3/2, 1.7),) read as ((1, 1),)
+        with pytest.raises(TypeError):
+            IntegerMatrix(rows)
+
+    def test_bool_entries_read_as_integers(self):
+        m = IntegerMatrix(((True, 0), (2, False)))
+        assert m.rows == ((1, 0), (2, 0))
+        assert all(type(x) is int for row in m.rows for x in row)
+
+    def test_ragged_rows_rejected(self):
+        for rows in (((1, 2), (3,)), ((1,), (True, False))):
+            with pytest.raises(ValueError, match="same length"):
+                IntegerMatrix(rows)
+
+
 class TestHermiteBasis:
     def test_identity_fixed(self):
         m = IntegerMatrix(((1, 0), (0, 1)))

@@ -58,16 +58,27 @@ def test_facet_functionals_stay_integer():
     assert set(_fraction_calls(cone)) == {"FacetFunctional.coefficients"}
 
 
-def test_exact_keeps_no_module_state():
-    # the counter's memo lives in each call, so the kernel stays thread-safe:
-    # no module-level dict and no functools cache in fsig.exact
-    tree = ast.parse((Path(fsig.__file__).parent / "exact.py").read_text(encoding="utf-8"))
+def _module_state(module):
+    """A module's dict state, and every name, attribute and import it uses.
+
+    Dict state is a module-level assignment of a dict display, comprehension
+    or dict()/defaultdict() call, or a dict default of a function argument,
+    which lives as long as the module does.
+    """
+    tree = ast.parse((Path(fsig.__file__).parent / module).read_text(encoding="utf-8"))
+    dicts = []
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-            value = node.value
-            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.unparse(node)
-            if isinstance(value, ast.Call):
-                assert getattr(value.func, "id", None) not in {"dict", "defaultdict"}
+            dicts.append(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            dicts += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+    state = [
+        ast.unparse(value)
+        for value in dicts
+        if isinstance(value, (ast.Dict, ast.DictComp))
+        or isinstance(value, ast.Call) and getattr(value.func, "id", None) in {"dict", "defaultdict"}
+    ]
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -78,7 +89,23 @@ def test_exact_keeps_no_module_state():
             names.add(node.name)
         elif isinstance(node, ast.ImportFrom):
             names.add(node.module)
+    return state, names
+
+
+def test_exact_keeps_no_module_state():
+    # the counter's memo lives in each call, so the kernel stays thread-safe:
+    # no module-level dict and no functools cache in fsig.exact
+    state, names = _module_state("exact.py")
+    assert not state, state
     assert not names & {"functools", "cache", "lru_cache", "cached_property"}
+
+
+def test_signature_keeps_no_module_state():
+    # the volume walk's face memo lives in each call, like the counter's;
+    # cached_property is allowed, as it keeps its value on the instance
+    state, names = _module_state("signature.py")
+    assert not state, state
+    assert not names & {"cache", "lru_cache"}
 
 
 def test_readme_library_example_runs():

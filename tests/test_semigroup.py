@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -86,6 +87,25 @@ class TestPresentation:
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidPresentation):
             SemigroupPresentation(2, ((1, 0, 0),))
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            ((1.5, 0), (0, 1), (Fraction(5, 2), 1)),  # was truncated to signature 1
+            ((1, 0), (0, 1.0)),
+            ((Fraction(2), 0), (0, 1)),
+            (("1", 0), (0, 1)),
+        ],
+        ids=["halves", "float", "integral-fraction", "string"],
+    )
+    def test_non_integer_entry_rejected(self, generators):
+        with pytest.raises(InvalidPresentation, match="must be integers"):
+            SemigroupPresentation(2, generators)
+
+    def test_bool_entries_read_as_integers(self):
+        p = SemigroupPresentation(2, ((True, False), (False, True), (1, True)))
+        assert p.generators == ((1, 0), (0, 1), (1, 1))
+        assert all(type(x) is int for g in p.generators for x in g)
 
 
 class TestBuildContext:

@@ -5,22 +5,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fsig import signature
 from fsig.cone import FullEmbedding, full_embedding
 from fsig.errors import Unbounded
-from fsig.exact import IntegerMatrix, clear_denominators
+from fsig.exact import IntegerMatrix, clear_denominators, matrix_rank
 from fsig.families import segre_generators, segre_signature, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import (
     SignaturePolytope,
     _boundary_fan,
+    _facets,
     _tight_sets,
     f_signature,
     polytope_volume,
     signature_polytope,
 )
 
-from oracles import fraction_tight_sets
+from oracles import fan_volume, fraction_tight_sets
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 
@@ -57,6 +61,30 @@ def hand_made(vertices, half_spaces):
 
 def degenerate_embedding(rows):
     return FullEmbedding((), IntegerMatrix(rows), (), IntegerMatrix(()), 2)
+
+
+@st.composite
+def slab_polytopes(draw):
+    """{x in R^d : 0 <= Tx <= 1} for a random small integer T of rank d."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=d + 2))
+    assume(matrix_rank(rows) == d)
+    emb = FullEmbedding((), IntegerMatrix(rows), (), IntegerMatrix(()), d)
+    try:
+        return signature_polytope(emb)
+    except Unbounded:  # not full-dimensional, e.g. rows w and -w pin w . x to 0
+        assume(False)
+
+
+UNIT_CUBE = SignaturePolytope(
+    half_spaces=tuple(
+        h
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for h in ((tuple(-x for x in e), 0), (e, 1))
+    ),
+    vertices=tuple(itertools.product((Fraction(0), Fraction(1)), repeat=3)),
+    dim=3,
+)
 
 
 def F(a, b=1):
@@ -114,26 +142,19 @@ class TestPolytopeVolume:
             vertices=((F(0), F(0)), (F(0), F(1)), (F(1), F(0))),
             dim=2,
         )
-        assert polytope_volume(triangle) == F(1, 2)
+        assert polytope_volume(triangle) == F(1, 2) == fan_volume(triangle)
 
     def test_unit_cube_face_lattice(self):
         # [0,1]^3: each of the 3 facets missing the origin is a square, fanned
         # into 2 triangles; the 3 facets through the origin add no simplex
-        units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
-        cube = SignaturePolytope(
-            half_spaces=tuple(
-                h for e in units for h in ((tuple(-x for x in e), 0), (e, 1))
-            ),
-            vertices=tuple(itertools.product((F(0), F(1)), repeat=3)),
-            dim=3,
-        )
+        cube = UNIT_CUBE
         fan = _boundary_fan(cube)
         assert len(fan) == 6
         assert all(facet.bit_count() == 4 for facet in fan)
         origin_bit = 1 << cube.vertices.index((F(0),) * 3)
         missing_origin = [len(s) for f, s in fan.items() if not f & origin_bit]
         assert missing_origin == [2, 2, 2]
-        assert polytope_volume(cube) == 1
+        assert polytope_volume(cube) == 1 == fan_volume(cube)
 
     def test_veronese_strip(self):
         emb = full_embedding(build_context(veronese_generators(2, 2)))
@@ -162,18 +183,19 @@ class TestPolytopeVolume:
     def test_mixed_vertex_denominators(self, vertices, half_spaces, volume):
         p = hand_made(vertices, half_spaces)
         assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
-        assert polytope_volume(p) == volume
+        assert polytope_volume(p) == volume == fan_volume(p)
         assert polytope_volume(p, self_check=True) == volume
 
     @pytest.mark.parametrize(
         "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
     )
     def test_self_check_decompositions_agree(self, presentation):
-        # the integer route against the Fraction one: tight sets and volume
+        # the integer route against the Fraction one: tight sets and volume;
+        # the walk against a determinant per simplex of the listed fan
         emb = full_embedding(build_context(presentation))
         p = signature_polytope(emb)
         assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
-        assert polytope_volume(p, self_check=True) == polytope_volume(p)
+        assert polytope_volume(p, self_check=True) == polytope_volume(p) == fan_volume(p)
 
     @pytest.mark.parametrize(
         "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
@@ -210,6 +232,66 @@ class TestPolytopeVolume:
             for i in range(len(ring))
         )
         assert abs(twice_area) / 2 == polytope_volume(p)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(slab_polytopes())
+    def test_walk_matches_per_simplex_sum_on_random_slabs(self, p):
+        assert polytope_volume(p) == fan_volume(p)
+        assert polytope_volume(p, self_check=True) == fan_volume(p)
+
+    @pytest.mark.parametrize(
+        "polytope",
+        [
+            UNIT_CUBE,
+            *(
+                signature_polytope(full_embedding(build_context(g)))
+                for g in (segre_generators(2, 3), veronese_generators(3, 2), veronese_generators(2, 3))
+            ),
+        ],
+        ids=["cube", "segre(2,3)", "veronese(3,2)", "veronese(2,3)"],
+    )
+    def test_merged_faces_do_not_pass_unnoticed(self, polytope, monkeypatch):
+        # two facets merged into one tight set; a pair through the origin is
+        # never walked, so each pair merged here has a facet the walk visits
+        true_volume = fan_volume(polytope)
+        tight = _tight_sets(polytope)
+        origin = polytope.vertices.index((F(0),) * polytope.dim)
+        facets = _facets((1 << len(polytope.vertices)) - 1, tight)
+        pairs = [(a, b) for a, b in itertools.combinations(facets, 2) if not (a & b) >> origin & 1]
+        assert pairs
+        outcomes = set()
+        for a, b in pairs:
+            merged = tight - {a, b} | {a | b}
+            monkeypatch.setattr(signature, "_tight_sets", lambda _: merged)
+            try:
+                volume = polytope_volume(polytope)
+            except ArithmeticError as error:
+                assert "does not fan into simplices" in str(error), error
+                outcomes.add("raised")
+            else:
+                assert volume != true_volume, (bin(a), bin(b))
+                outcomes.add("differed")
+        assert "raised" in outcomes
+
+    @pytest.mark.parametrize(
+        "vertices,tight,face",
+        [
+            # unit square, vertices 0=(0,0) 1=(0,1) 2=(1,0) 3=(1,1), with the
+            # facets {1,3} and {2,3} merged and {2,3} kept as well: {1,2,3} is
+            # fanned from 1 over {2,3}, whose one facet {2} holds its apex, so
+            # a face of two vertices is left with one row entry
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], {0b0011, 0b0101, 0b1110, 0b1100}, 0b1100),
+            # 0=(0,0) 1=(1,1) 2=(2,0) 3=(2,2) with an edge {1,3} through the
+            # origin's line: vertex 3's row is left all zero under pivot row 1
+            ([(0, 0), (1, 1), (2, 0), (2, 2)], {0b0011, 0b0101, 0b1010, 0b1100}, 0b1000),
+        ],
+        ids=["two-vertices-left", "zero-apex-row"],
+    )
+    def test_broken_face_lattice_raises(self, vertices, tight, face, monkeypatch):
+        polygon = hand_made(vertices, [])
+        monkeypatch.setattr(signature, "_tight_sets", lambda _: tight)
+        with pytest.raises(ArithmeticError, match=f"face {face:#b} does not fan"):
+            polytope_volume(polygon)
 
 
 class TestFSignature:
