@@ -34,9 +34,7 @@ class IntegerMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        if not all(type(x) is int for row in rows for x in row):
-            rows = tuple(tuple(map(index, row)) for row in rows)  # TypeError on 1.5 or Fraction(3, 2)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)  # TypeError on 1.5, Fraction
         if len(set(map(len, rows))) > 1:
             raise ValueError("matrix rows must all have the same length")
         object.__setattr__(self, "rows", rows)

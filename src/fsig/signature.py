@@ -94,18 +94,20 @@ def _facets(face: int, tight: set[int]) -> list[int]:
     return kept
 
 
-def _pulled(face: int, tight: set[int], memo: dict) -> tuple[int, list[int], list[int]]:
-    """Apex (lowest vertex index), facets missing it and other vertices of a face, memoized."""
+def _pulled(face: int, tight: set[int], memo: dict) -> tuple[int, list[int]]:
+    """Apex (lowest vertex index) of a face and its facets missing the apex, memoized."""
     if face not in memo:
         apex = (face & -face).bit_length() - 1
-        others = [j for j in range(apex + 1, face.bit_length()) if face >> j & 1]
-        memo[face] = apex, [f for f in _facets(face, tight) if not f >> apex & 1], others
+        memo[face] = apex, [f for f in _facets(face, tight) if not f >> apex & 1]
     return memo[face]
 
 
-def _triangulate(face: int, tight: set[int], memo: dict) -> list[tuple[int, ...]]:
-    apex, facets, _ = _pulled(face, tight, memo)
-    return [(apex,) + s for f in facets for s in _triangulate(f, tight, memo)] or [(apex,)]
+def _triangulate(face: int, tight: set[int], memo: dict, fans: dict) -> list[tuple[int, ...]]:
+    if face not in fans:  # each face is listed once per call
+        apex, facets = _pulled(face, tight, memo)
+        simplices = [(apex,) + s for f in facets for s in _triangulate(f, tight, memo, fans)]
+        fans[face] = simplices or [(apex,)]  # a vertex has no facets
+    return fans[face]
 
 
 def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]]]:
@@ -120,8 +122,8 @@ def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]
     """
     tight = _tight_sets(polytope)
     everything = (1 << len(polytope.vertices)) - 1
-    memo: dict[int, tuple[int, list[int], list[int]]] = {}
-    return {f: _triangulate(f, tight, memo) for f in _facets(everything, tight)}
+    memo, fans = {}, {}
+    return {f: _triangulate(f, tight, memo, fans) for f in _facets(everything, tight)}
 
 
 def _tight_sets(polytope: SignaturePolytope) -> set[int]:
@@ -139,10 +141,9 @@ def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fr
     With vertex x_i = r_i / t_i and L the lcm of all the scales, the simplex
     on the origin and x_1..x_d has volume |det(r_1..r_d)| prod(L / t_i) over
     L^d d!.  Each facet missing the origin is walked down its fan with one
-    Bareiss step per face, pivoting on the apex's row; +-det is the entry left
-    at a vertex, and a zero apex row (a broken face lattice) raises
-    ArithmeticError.  With self_check=True the volume is recomputed from
-    pyramids over every facet from the vertex centroid and must agree.
+    Bareiss step per face on the apex's row; +-det is the entry left at a
+    vertex, and a zero apex row (a broken face lattice) raises ArithmeticError.
+    self_check=True sums centroid pyramids over every facet's fan; they must agree.
     """
     d = polytope.dim
     if d == 0:
@@ -152,11 +153,14 @@ def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fr
     origin = rows.index([0] * d)
     common = lcm(*scales)
     weights = [common // t for t in scales]
-    memo: dict[int, tuple[int, list[int], list[int]]] = {}
+    memo, fans, members = {}, {}, {}  # per face: apex and facets, its fan, its other vertices
 
-    def walk(face: int, reduced, prev: int) -> int:
+    def walk(face: int, reduced: dict, prev: int) -> int:
         # reduced[j]: vertex j's row after one Bareiss step per face above
-        apex, facets, others = _pulled(face, tight, memo)
+        apex, facets = _pulled(face, tight, memo)
+        if face not in members:  # reduced holds a row for every vertex of the face
+            members[face] = [j for j in reduced if j != apex and face >> j & 1]
+        others = members[face]
         row = reduced[apex]
         p = next(filter(None, row), 0)
         if not p or (not facets and (others or len(row) > 1)):
@@ -172,20 +176,17 @@ def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fr
         return weights[apex] * sum(walk(g, below, p) for g in facets)
 
     facets = _facets((1 << len(rows)) - 1, tight)
-    numerator = sum(walk(f, rows, 1) for f in facets if not f >> origin & 1)
+    numerator = sum(walk(f, dict(enumerate(rows)), 1) for f in facets if not f >> origin & 1)
     total = Fraction(numerator, common**d * factorial(d))
     if self_check:
         centroid = tuple(sum(v[j] for v in polytope.vertices) / len(rows) for j in range(d))
         apart = [vsub(v, centroid) for v in polytope.vertices]
         second = sum(
             abs(rational_determinant([apart[i] for i in s]))
-            for simplices in _boundary_fan(polytope).values()
-            for s in simplices
+            for f in facets for s in _triangulate(f, tight, memo, fans)
         ) / factorial(d)
         if second != total:
-            raise ArithmeticError(
-                f"volume decompositions disagree: {total} versus {second}"
-            )
+            raise ArithmeticError(f"volume decompositions disagree: {total} versus {second}")
     return total
 
 
