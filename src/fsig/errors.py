@@ -59,4 +59,11 @@ class NonNormalInput(PreconditionError):
 
 
 class BudgetExceeded(BudgetError):
-    """An enumeration or a count exceeded its configured cap."""
+    """An enumeration or a count exceeded its configured cap.
+
+    reached is the count at which it stopped, some number above the cap.
+    """
+
+    def __init__(self, message: str, reached: int):
+        super().__init__(message)
+        self.reached = reached

@@ -424,7 +424,9 @@ def count_lattice_points(
 
     The count below row k depends only on k, the coordinates still open
     there and the set of live avoid vectors, as rows k.. change and read no
-    final coordinate; it is memoized on that key, in a dict local to the call.
+    final coordinate.  Every level, the last included, is memoized on
+    (k, live bitmask, open coordinates) in a dict local to the call; the
+    bitmask (one bit per avoid vector) is carried down the walk.
 
     With limit set, counting stops once the running count passes it, and the
     returned number is then some count above limit: a memoized branch can
@@ -463,6 +465,7 @@ def count_lattice_points(
     rising = [(j, rows[-1][j]) for j in final[-1] if rows[-1][j] > 0]
     falling = [(j, -rows[-1][j]) for j in final[-1] if rows[-1][j] < 0]
     # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
+    # At the last row they are its pivot and final[d - 1], all that count_last reads.
     opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d)]
     memo: dict[tuple, int] = {}
 
@@ -492,36 +495,44 @@ def count_lattice_points(
                 reach = vhi
         return hi - lo + 1 - covered
 
-    def rec(k: int, point: list[int], live, room) -> int:
-        key = (k, sum(item[2] for item in live), opened[k](point))
+    def rec(k: int, point: list[int], live, bits: int, room) -> int:
+        key = (k, bits, opened[k](point))
         if key in memo:
             return memo[key]
+        if k == d - 1:
+            memo[key] = count = count_last(point, live)
+            return count
         row, p, others = rows[k], pivots[k], final[k]
         step = row[p]
         # The pivot coordinate grows with c, so the vectors it passes are a
         # growing prefix of live sorted by their pivot entry.
         live = sorted(live, key=lambda item: item[0][p])
-        passed, least_end, count = 0, d, 0
+        passed, passed_bits, least_end, count = 0, 0, d, 0
         for c in range(-(point[p] // step), (bounds[p] - point[p]) // step + 1):
             moved = point[:p] + [a + c * s for a, s in zip(point[p:], row[p:])]
             if others and not all(0 <= moved[j] <= bounds[j] for j in others):
                 continue
             while passed < len(live) and live[passed][0][p] <= moved[p]:
                 least_end = min(least_end, live[passed][1])
+                passed_bits |= live[passed][2]
                 passed += 1
-            kept = live[:passed]
+            kept, kept_bits = live[:passed], passed_bits
             if others:
                 kept = [item for item in kept if all(moved[j] >= item[0][j] for j in others)]
+                if len(kept) < passed:
+                    kept_bits = sum(item[2] for item in kept)
                 if kept and min(end for _, end, _ in kept) <= k:
                     continue
             elif least_end <= k:
                 break  # some vector is dominated by every point of this and later branches
-            count += rec(k + 1, moved, kept, room - count) if k + 2 < d else count_last(moved, kept)
+            count += rec(k + 1, moved, kept, kept_bits, room - count)
             if count > room:
                 return count  # a partial count, never memoized
         memo[key] = count
         return count
 
-    if d == 1:
-        return count_last([0] * ncols, live)
-    return rec(0, [0] * ncols, live, float("inf") if limit is None else limit)
+    room = float("inf") if limit is None else limit
+    try:
+        return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
+    finally:
+        memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass

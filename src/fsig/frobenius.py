@@ -80,7 +80,9 @@ def brute_force_aq(
             seen.add(nxt)
             if len(seen) > budget:
                 raise BudgetExceeded(
-                    f"closure enumeration exceeded {budget} points at q={q}"
+                    f"closure enumeration reached {len(seen)} points at q={q}, "
+                    f"past the budget of {budget}",
+                    len(seen),
                 )
             frontier.append(nxt)
     return len(seen)
@@ -181,7 +183,7 @@ def hk_colength(
     no Frobenius generator F (q times a minimal generator), counted by
     count_lattice_points over an explicit box; for a non-normal input that
     is the colength in its normalization.  The count stops with
-    BudgetExceeded once it passes budget.
+    BudgetExceeded, whose reached is the count so far, once it passes budget.
 
     The box comes from the extreme directions g of the cone: the generator
     images of minimal support, one per support.  For each g, k_g is the least
@@ -221,8 +223,9 @@ def _colength(emb: FullEmbedding, generators: Sequence[Vector], q: int, budget: 
     count = count_lattice_points(emb.image_lattice, box, frobenius_gens, limit=budget)
     if count > budget:
         raise BudgetExceeded(
-            f"colength count exceeded {budget} points; "
-            "the quotient is finite but beyond the configured budget"
+            f"colength count reached {count} points, past the budget of {budget}; "
+            "the quotient is finite but beyond the configured budget",
+            count,
         )
     return count
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from fsig.exact import Vector, determinant
+from fsig.exact import Vector, determinant, lattice_points_in_box
 from fsig.signature import _boundary_fan
 
 
@@ -34,6 +34,15 @@ def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bo
         return False
 
     return reach(target)
+
+
+def counted_by_enumeration(basis, bounds, avoid=()) -> int:
+    """Oracle for count_lattice_points: enumerate the box, drop dominating points."""
+    return sum(
+        1
+        for u in lattice_points_in_box(basis, bounds)
+        if not any(all(a >= b for a, b in zip(u, v)) for v in avoid)
+    )
 
 
 def fraction_tight_sets(half_spaces, vertices) -> set[int]:

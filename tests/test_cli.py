@@ -137,6 +137,23 @@ class TestHkCommand:
     def test_budget_reaches_the_colength(self, veronese22_file, capsys):
         assert main(["hk", veronese22_file, "--q", "3", "--budget", "1"]) == 4
 
+    def test_budget_error_reports_the_count_reached(self, veronese22_file, capsys):
+        from fsig.cone import full_embedding
+        from fsig.errors import BudgetExceeded
+        from fsig.families import veronese_generators
+        from fsig.frobenius import hk_colengths
+        from fsig.semigroup import build_context
+
+        emb = full_embedding(build_context(veronese_generators(2, 2)))
+        with pytest.raises(BudgetExceeded) as caught:
+            hk_colengths(emb, 1, 8, budget=20)
+        assert main(["hk", veronese22_file, "--q", "8", "--budget", "20"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error (budget exceeded): {caught.value}\n"
+        assert f"reached {caught.value.reached} points, past the budget of 20" in captured.err
+        assert caught.value.reached > 20
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -1,5 +1,6 @@
 """Exact kernel: Hermite form, determinants, lattice membership, enumeration."""
 
+import gc
 import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from fsig.exact import (
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.semigroup import build_context
+from oracles import counted_by_enumeration
 
 
 def brute_force_in_span(v, rows, coeff_bound=8):
@@ -425,15 +427,6 @@ class TestLatticePointsInBox:
         assert list(lattice_points_in_box(basis, (3, 3))) == [(0, 0)]
 
 
-def counted_by_enumeration(basis, bounds, avoid=()):
-    """Oracle for count_lattice_points: enumerate the box, drop dominating points."""
-    return sum(
-        1
-        for u in lattice_points_in_box(basis, bounds)
-        if not any(all(a >= b for a, b in zip(u, v)) for v in avoid)
-    )
-
-
 # Hermite bases with negative and zero entries after the last pivot, and with
 # columns that only an earlier row reaches.
 HAND_MADE_BASES = (
@@ -453,6 +446,32 @@ MEMO_BASES = (
     ((2, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 3, 0, 2), (0, 0, 0, 1, -1)),
     ((1, 1, 0, 0, 0), (0, 2, 0, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 2, 1)),
 )
+
+# Hermite bases whose last row has negative entries after its pivot, in
+# columns only the last row makes final, and whose earlier rows move those
+# columns by a combination that many coefficient prefixes share: the last
+# level's memo answers repeated states.
+LAST_LEVEL_BASES = (
+    ((1, 1, 0, 0), (0, 0, 1, -1)),
+    ((1, 0, 1, 0, 1), (0, 1, 1, 0, 1), (0, 0, 2, 1, -1)),
+    ((1, 0, 0, 1, 2, 0), (0, 1, 0, 1, 1, 0), (0, 0, 1, 0, -2, 1)),
+)
+
+# Rank-1 bases: the only level is the last; zero columns are never moved.
+RANK_ONE_BASES = (((1,),), ((2, 1, 0, 3),), ((0, 2, 0, 1, 3),), ((3, 1, -2),))
+
+
+def last_level_states(basis, bounds):
+    """The coefficient prefixes of the box points, and the open states they
+    leave at the last row: the columns that row moves, before it moves them."""
+    last = basis.rows[-1]
+    opened = [j for j, s in enumerate(last) if s]
+    prefixes, states = set(), set()
+    for u in lattice_points_in_box(basis, bounds):
+        c = express_in_basis(u, basis)
+        prefixes.add(c[:-1])
+        states.add(tuple(u[j] - c[-1] * last[j] for j in opened))
+    return prefixes, states
 
 
 class TestCountLatticePoints:
@@ -539,7 +558,7 @@ class TestCountLatticePoints:
                 else:
                     assert counted == full, (avoid, limit)
 
-    @pytest.mark.parametrize("rows", MEMO_BASES)
+    @pytest.mark.parametrize("rows", MEMO_BASES + LAST_LEVEL_BASES)
     def test_shared_open_states_match_enumeration(self, rows):
         basis = IntegerMatrix(rows)
         assert hermite_basis(basis) == basis
@@ -554,6 +573,76 @@ class TestCountLatticePoints:
             limit = rng.randint(0, expected)
             counted = count_lattice_points(basis, bounds, avoid, limit=limit)
             assert counted > limit if expected > limit else counted == expected
+
+    @pytest.mark.parametrize("rows", LAST_LEVEL_BASES)
+    def test_last_level_bases_share_states_with_falling_columns(self, rows):
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        assert min(rows[-1]) < 0  # after the pivot, which is positive
+        prefixes, states = last_level_states(basis, (6,) * basis.ncols)
+        assert len(prefixes) > len(states)
+
+    @pytest.mark.parametrize("rows", RANK_ONE_BASES)
+    def test_rank_one_bases_with_avoid_and_limit(self, rows):
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        rng = random.Random(1414)
+        n = basis.ncols
+        for _ in range(40):
+            bounds = tuple(rng.randint(0, 9) for _ in range(n))
+            avoid = [tuple(rng.randint(-1, 6) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+            full = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == full
+            for limit in range(full + 2):
+                counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+                assert counted > limit if full > limit else counted == full
+
+    def test_limit_sweep_on_the_last_level(self):
+        basis = IntegerMatrix(LAST_LEVEL_BASES[2])
+        bounds = (4, 5, 4, 6, 7, 3)
+        for avoid in ([], [(1, 2, 0, 3, 2, 1), (2, 0, 1, 2, 4, 0), (0, 1, 2, 2, 1, 2)]):
+            full = count_lattice_points(basis, bounds, avoid)
+            assert full == counted_by_enumeration(basis, bounds, avoid)
+            for limit in range(full + 2):
+                counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+                assert counted > limit if full > limit else counted == full, (avoid, limit)
+
+    @pytest.mark.parametrize(
+        "rows", [((1, 0, 1), (0, 1, 0)), ((1, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 1))]
+    )
+    def test_vectors_dropped_on_a_final_coordinate_leave_the_key(self, rows):
+        # Every prefix reaches the last row in the same open state.  Prefixes
+        # that pass the same avoid vectors at the pivot can still drop
+        # different ones on the coordinate the row makes final, and the memo
+        # key must tell their live sets apart: on the first basis with avoid
+        # (0, 1, 2), c_0 = 0 and 1 drop the vector that c_0 = 2 keeps.
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        n = basis.ncols
+        avoid = [(0, 1, 2) + (0,) * (n - 3)]
+        assert count_lattice_points(basis, (3,) * n, avoid) == counted_by_enumeration(
+            basis, (3,) * n, avoid
+        )
+        rng = random.Random(577)
+        for _ in range(40):
+            bounds = tuple(rng.randint(1, 6) for _ in range(n))
+            avoid = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+
+    def test_memo_freed_when_the_count_returns(self):
+        # rec refers to itself through its closure; if the memo waited for the
+        # cycle collector, repeated counts would hold several memos at once
+        emb = full_embedding(build_context(segre_generators(2, 3)))
+        avoid = [tuple(12 * x for x in g) for g in emb.image_generators]
+        gc.collect()
+        gc.disable()
+        try:
+            count_lattice_points(emb.image_lattice, (23,) * emb.num_coordinates, avoid)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left < 100  # the closures and their cells; the memo held over 500 objects
 
     def test_threads_count_what_a_serial_run_counts(self):
         emb = full_embedding(build_context(segre_generators(3, 3)))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsig import frobenius
 from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
-from fsig.exact import express_in_basis, vadd, vscale, vsub
+from fsig.exact import count_lattice_points, express_in_basis, vadd, vscale, vsub
 from fsig.families import segre_generators, veronese_generators
 from fsig.frobenius import (
     MonomialIdeal,
@@ -21,6 +22,7 @@ from fsig.frobenius import (
     socle_witness,
 )
 from fsig.semigroup import SemigroupPresentation, build_context
+from oracles import counted_by_enumeration
 
 FREE1 = SemigroupPresentation(1, ((1,),), name="free(1)")
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
@@ -157,8 +159,10 @@ class TestBruteForceAq:
         assert brute_force_aq(veronese_generators(2, 2), 3) == 5
 
     def test_budget_enforced(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as caught:
             brute_force_aq(FREE2, 64, budget=10)
+        assert caught.value.reached == 11
+        assert "reached 11 points" in str(caught.value)
 
     def test_agrees_with_lattice_count(self):
         for p in (FREE2, veronese_generators(2, 2), segre_generators(2, 2)):
@@ -271,8 +275,12 @@ class TestHkColength:
     def test_oversized_quotient_hits_budget(self):
         emb = emb_of(FREE2)
         ideal = MonomialIdeal.generated_by([(40, 0), (0, 40)])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as caught:
             hk_colength(emb, ideal, 2, budget=50)
+        # the counter stops after the first run of the last coefficient
+        # that carries it past the budget: rows of 80 points each
+        assert caught.value.reached == 80
+        assert "reached 80 points" in str(caught.value)
 
     def test_small_colength_of_the_maximal_ideal(self):
         emb = emb_of(FREE1)
@@ -307,6 +315,23 @@ class TestHkColength:
         assert closure_colength(emb, ideal, 3) == 128
         assert closure_colength(emb, enlarged, 3) == 119
         assert colengths.not_dividing - colengths.with_witness == count_aq(emb, 3).a_q
+
+    @pytest.mark.parametrize(
+        "presentation", [segre_generators(2, 2), veronese_generators(3, 2)], ids=lambda p: p.name
+    )
+    def test_both_colengths_match_enumeration(self, presentation, monkeypatch):
+        # recount the box and Frobenius generators each colength was counted
+        # over by enumerating the box, a route that avoids count_lattice_points
+        counted = []
+
+        def recording(basis, bounds, avoid=(), limit=None):
+            counted.append(counted_by_enumeration(basis, bounds, avoid))
+            return count_lattice_points(basis, bounds, avoid, limit)
+
+        emb = emb_of(presentation)
+        monkeypatch.setattr(frobenius, "count_lattice_points", recording)
+        colengths = hk_colengths(emb, 1, 3)
+        assert counted == [colengths.not_dividing, colengths.with_witness]
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(small_ideals())
