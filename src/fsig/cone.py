@@ -3,13 +3,14 @@ that carries the semigroup onto a full subsemigroup of N^n.
 
 The dual cone is computed by incremental ray insertion (double description):
 start from a simplicial subcone cut out by a maximal independent subset of
-the constraints, chosen in one fraction-free elimination, then insert the
-remaining half-spaces one at a time, combining adjacent positive/negative
-ray pairs.  Two rays are adjacent iff at least dim - 2 constraints are tight
-at both and no third ray is tight on all of those (Fukuda-Prodon); tight
-sets are kept as bitmasks, so this needs no rank test.  The start rays are
-the columns of a fraction-free scaled inverse of the chosen rows, so rays
-are built in integer arithmetic throughout.
+the constraints, then insert the remaining half-spaces one at a time,
+combining adjacent positive/negative ray pairs.  Two rays are adjacent iff
+at least dim - 2 constraints are tight at both and no third ray is tight on
+all of those (Fukuda-Prodon); tight sets are kept as bitmasks, so this needs
+no rank test.  One fraction-free Gauss-Jordan pass on the transposed
+constraints both chooses the start constraints (its pivot columns) and
+gives the start rays (the rows of its right block), so rays are built in
+integer arithmetic throughout.
 
 The rows of T are the dual rays of the generator cone in lattice
 coordinates, as extreme_rays returns them.  Each is primitive and the
@@ -24,6 +25,7 @@ by primitive ambient ray so that all downstream output is deterministic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -32,8 +34,8 @@ from .exact import (
     IntegerMatrix,
     Vector,
     extended_gcd_vector,
+    gauss_jordan,
     hermite_basis,
-    independent_rows,
     matrix_rank,
     primitive_vector,
     scaled_inverse,
@@ -55,21 +57,19 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
         raise ValueError("extreme_rays requires at least one constraint")
     m = len(constraints[0])
 
-    # Maximal independent subset, each row independent of those before it.
-    chosen = independent_rows(constraints)
+    # Maximal independent subset, each row independent of those before it:
+    # the pivot columns of the transpose.  Simplicial start: ray j satisfies
+    # base[k] . ray = delta_{kj}, and row j of the right block E is d * ray,
+    # as E @ base^T = d * I; it is read with the sign of d.  Each ray carries
+    # the bitmask of the processed constraints tight at it.
+    chosen, d, start = gauss_jordan(list(zip(*constraints)))
     if len(chosen) < m:
         raise ValueError("constraint system is rank deficient; cone is not pointed")
-
-    # Simplicial start: ray j satisfies base[k] . ray = delta_{kj}, i.e. the
-    # rays are the columns of the inverse of the chosen constraint rows, read
-    # off the scaled inverse d * base^-1 with the sign of d.  Each ray carries
-    # the bitmask of the processed constraints tight at it.
-    d, inverse = scaled_inverse([constraints[i] for i in chosen])
     sign = 1 if d > 0 else -1
     chosen_bits = sum(1 << i for i in chosen)
     rays: list[tuple[Vector, int]] = [
-        (primitive_vector([sign * row[j] for row in inverse]), chosen_bits & ~(1 << chosen[j]))
-        for j in range(m)
+        (primitive_vector([sign * x for x in row]), chosen_bits & ~(1 << i))
+        for i, row in zip(chosen, start)
     ]
 
     for i, a in enumerate(constraints):
@@ -163,18 +163,22 @@ class FullEmbedding:
     matrix_T holds the functionals in lattice coordinates (n rows, rank
     columns); image_generators are the generator images, in presentation
     order; image_lattice is a Hermite basis of the group generated by the
-    image, as a sublattice of Z^n.
+    image, as a sublattice of Z^n, built on first read: only the counting
+    code reads it.
     """
 
     functionals: tuple[FacetFunctional, ...]
     matrix_T: IntegerMatrix
     image_generators: tuple[Vector, ...]
-    image_lattice: IntegerMatrix
     rank: int
 
     @property
     def num_coordinates(self) -> int:
         return len(self.functionals)
+
+    @cached_property
+    def image_lattice(self) -> IntegerMatrix:
+        return hermite_basis(self.matrix_T.transpose())
 
 
 def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
@@ -194,8 +198,7 @@ def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
         for ray, m, w in facets
     )
     images = tuple(zip(*(f.values_on_generators for f in functionals)))
-    image_lattice = hermite_basis(matrix_t.transpose())
-    return FullEmbedding(functionals, matrix_t, images, image_lattice, ctx.rank)
+    return FullEmbedding(functionals, matrix_t, images, ctx.rank)
 
 
 def fraction_field_witness(emb: FullEmbedding, i: int) -> Vector:

@@ -6,10 +6,11 @@ facet coefficients, the self_check volume (rational_determinant) and
 solve_linear_system, a reference kept for the tests.  Matrices and vectors
 are immutable tuples; all functions here are pure and thread-safe.
 
-Every elimination is fraction-free (Bareiss): rank, determinant and the
-independent rows come from one forward elimination, _echelon, with rational
-rows first cleared of their denominators, and scaled_inverse runs the same
-scheme as a Gauss-Jordan pass.
+Every elimination is fraction-free (Bareiss) and runs one loop, _bareiss:
+forward for rank and determinant, with rational rows first cleared of their
+denominators, and as the Gauss-Jordan pass of gauss_jordan, which gives the
+independent columns with a scaled inverse and has scaled_inverse as its
+square case.
 
 The Hermite normal form convention used throughout the package: row-style,
 upper echelon, positive pivots, and every entry above a pivot reduced into
@@ -21,7 +22,7 @@ coefficients pivot by pivot, the last over the interval the box cuts out.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index, itemgetter, mul
+from operator import add, index, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -59,11 +60,11 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u: Sequence) -> tuple:
@@ -118,19 +119,18 @@ def clear_denominators(row: Sequence) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free (Bareiss) forward elimination of rectangular integer rows.
+def _bareiss(a: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination, in place, of integer rows on their first ncols columns.
 
-    Returns (pivot columns, sign of the row swaps, last pivot); a column with
-    no pivot left is skipped, so column j is a pivot iff it is independent of
-    the columns before it.  Every entry stays an integer minor of the input,
-    so each division by the previous pivot is exact.
+    Returns (pivot columns, sign of the row swaps, last pivot).  A column
+    with no pivot left is skipped, so column j is a pivot iff it is
+    independent of the columns before it.  Each pivot clears the rows below
+    it or, with jordan, every other row.  Every entry stays an integer minor,
+    so each division by the previous pivot is exact; only the columns right
+    of the pivot are updated, as no other is read again.
     """
-    a = [list(row) for row in rows]
     n = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    sign = prev = 1
+    pivots, sign, prev = [], 1, 1
     for col in range(ncols):
         r = len(pivots)
         for i in range(r, n):
@@ -141,13 +141,12 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
         if i != r:
             a[r], a[i] = a[i], a[r]
             sign = -sign
-        pivot_row = a[r]
-        p = pivot_row[col]
-        for i in range(r + 1, n):
-            row = a[i]
-            f = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        p, tail = a[r][col], a[r][col + 1 :]
+        for row in a[:r] + a[r + 1 :] if jordan else a[r + 1 :]:
+            if f := row[col]:
+                row[col + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+            elif p != prev:  # a zero entry only rescales its row
+                row[col + 1 :] = [p * x // prev for x in row[col + 1 :]]
         prev = p
         pivots.append(col)
         if r + 1 == n:
@@ -160,7 +159,7 @@ def determinant(m: IntegerMatrix | Sequence[Sequence[int]]) -> int:
     rows = m.rows if isinstance(m, IntegerMatrix) else m
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant requires a square matrix")
-    pivots, sign, last = _echelon(rows)
+    pivots, sign, last = _bareiss([list(row) for row in rows], len(rows))
     return sign * last if len(pivots) == len(rows) else 0
 
 
@@ -176,26 +175,33 @@ def _pivot_columns(basis: IntegerMatrix) -> list[int]:
     return pivots
 
 
-def express_in_basis(v: Sequence[int], basis: IntegerMatrix) -> Vector | None:
-    """Coefficients c with c @ basis = v, or None if v is outside the lattice.
+def lattice_coordinates(vectors: Sequence, basis: IntegerMatrix) -> list[Vector | None]:
+    """Per vector v, the coefficients c with c @ basis = v, or None if v is outside the lattice.
 
     The basis must be in the Hermite form produced by hermite_basis, so the
-    coefficients are read off by forward substitution on the pivot columns.
+    coefficients are read off by forward substitution on the pivot columns,
+    found once for all the vectors.
     """
-    if basis.nrows and len(v) != basis.ncols:
-        raise ValueError("vector length does not match basis width")
-    residual = [int(x) for x in v]
-    coeffs = []
-    for row, p in zip(basis.rows, _pivot_columns(basis)):
-        c, rem = divmod(residual[p], row[p])
-        if rem != 0:
-            return None
-        if c:
-            residual = [a - c * b for a, b in zip(residual, row)]
-        coeffs.append(c)
-    if any(residual):
-        return None
-    return tuple(coeffs)
+    steps = list(zip(basis.rows, _pivot_columns(basis)))
+    out: list[Vector | None] = []
+    for v in vectors:
+        if basis.nrows and len(v) != basis.ncols:
+            raise ValueError("vector length does not match basis width")
+        residual, coeffs = [int(x) for x in v], []
+        for row, p in steps:
+            c, rem = divmod(residual[p], row[p])
+            if rem:
+                break
+            if c:
+                residual = [a - c * b for a, b in zip(residual, row)]
+            coeffs.append(c)
+        out.append(tuple(coeffs) if len(coeffs) == len(steps) and not any(residual) else None)
+    return out
+
+
+def express_in_basis(v: Sequence[int], basis: IntegerMatrix) -> Vector | None:
+    """c with c @ basis = v, or None if v is outside the lattice; see lattice_coordinates."""
+    return lattice_coordinates([v], basis)[0]
 
 
 def solve_integer_combination(m: IntegerMatrix, target: Sequence[int]) -> Vector | None:
@@ -223,16 +229,10 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of int/Fraction rows; a Fraction entry is cleared first."""
     if not all(isinstance(x, int) for row in rows for x in row):
         rows = [clear_denominators(row)[1] for row in rows]  # row scaling keeps the rank
-    return len(_echelon(rows)[0])
-
-
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the integer rows that are independent of the rows before them.
-
-    These are the pivot columns of the transpose, so row i is taken iff it
-    is not in the span of the rows taken before it.
-    """
-    return _echelon(list(zip(*rows)))[0]
+    ncols = len(rows[0]) if rows else 0
+    if len(rows) > ncols:  # eliminate the transpose: fewer, longer rows
+        rows, ncols = list(zip(*rows)), len(rows)
+    return len(_bareiss([list(row) for row in rows], ncols)[0])
 
 
 def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -261,34 +261,25 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fracti
     return tuple(row[n] for row in work)
 
 
-def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...] | None]:
-    """(d, B) with B @ A = A @ B = d * I and d = +-det A, or (0, None) if singular.
+def gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, tuple[Vector, ...]]:
+    """(pivot columns, d, E): the Gauss-Jordan pass of _bareiss on [M | I], M the integer rows.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I]: every entry
-    stays an integer minor of the augmented matrix, so each division is exact,
-    and at the end the left block is d * I.  Entries must be integers.
+    E is the right block: on the pivot columns, the first len(pivots) rows of
+    E @ M are d * I, with d the last pivot (1 with none).
     """
+    n, ncols = len(rows), len(rows[0]) if rows else 0
+    a = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, _, d = _bareiss(a, ncols, jordan=True)
+    return pivots, d, tuple(tuple(row[ncols:]) for row in a)
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...] | None]:
+    """(d, B) with B @ A = A @ B = d * I and d = +-det A, or (0, None) if singular."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("scaled_inverse requires a square matrix")
-    a = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                return 0, None
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    return prev, tuple(tuple(row[n:]) for row in a)
+    pivots, d, inverse = gauss_jordan(rows)  # the square case: the left block ends as d * I
+    return (d, inverse) if len(pivots) == n else (0, None)
 
 
 def rational_determinant(rows: Sequence[Sequence]) -> Fraction:

@@ -19,8 +19,8 @@ from .exact import (
     Vector,
     _lattice_runs,
     _pivot_columns,
-    express_in_basis,
     hermite_basis,
+    lattice_coordinates,
 )
 
 
@@ -77,13 +77,11 @@ def build_context(presentation: SemigroupPresentation) -> SemigroupContext:
     """Fix lattice coordinates for a presentation."""
     matrix = IntegerMatrix(presentation.generators)
     lattice = hermite_basis(matrix)
-    coords = []
-    for g in presentation.generators:
-        c = express_in_basis(g, lattice)
-        if c is None:  # cannot happen: the basis spans the generators
-            raise InvalidPresentation(f"generator {g} escaped its own lattice")
-        coords.append(c)
-    return SemigroupContext(presentation, lattice, lattice.nrows, tuple(coords))
+    coords = tuple(lattice_coordinates(presentation.generators, lattice))
+    if None in coords:  # cannot happen: the basis spans the generators
+        g = presentation.generators[coords.index(None)]
+        raise InvalidPresentation(f"generator {g} escaped its own lattice")
+    return SemigroupContext(presentation, lattice, lattice.nrows, coords)
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,7 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
     last, step = ctx.lattice.rows[-1], ctx.lattice.rows[-1][pivots[-1]]
     rows = [f.ray for f in facets]
     slopes = [sum(map(mul, row, last)) for row in rows]
+    progression = _tile(1, step, bound + 1)  # a run's cells, masked to its length below
     for point, lo, hi in _lattice_runs(ctx.lattice, [bound] * ctx.presentation.ambient_rank):
         for row, slope in zip(rows, slopes):
             value = sum(map(mul, row, point))
@@ -147,7 +146,8 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
         else:
             start = sum(point[p] * w for p, w in weights.items()) + lo * step
             window = int.from_bytes(bits[start >> 3 : start + (hi - lo) * step + 8 >> 3], "little")
-            missing = _tile(1, step, hi - lo + 1) & ~(window >> (start & 7))
+            run = progression & (2 << (hi - lo) * step) - 1
+            missing = run & ~(window >> (start & 7))
             if missing:
                 c = lo + ((missing & -missing).bit_length() - 1) // step
                 return NormalityVerdict(False, tuple(a + c * s for a, s in zip(point, last)), bound)

@@ -78,9 +78,12 @@ def signature_polytope(emb: FullEmbedding) -> SignaturePolytope:
         raise Unbounded("origin is not a vertex; embedding is invalid")
     if matrix_rank(rays) != d + 1:
         raise Unbounded("signature polytope is not full-dimensional")
-    ordered = sorted((tuple(Fraction(x, ray[-1]) for x in ray[:-1]), ray) for ray in rays)
-    polytope = SignaturePolytope(tuple(half_spaces), tuple(v for v, _ in ordered), d)
-    homogeneous = tuple(r[-1] for _, r in ordered), tuple(list(r[:-1]) for _, r in ordered)
+    # vertex r / t is sorted as the integer row r * (L / t), L the lcm of the scales
+    common = lcm(*(ray[-1] for ray in rays))
+    ordered = sorted(rays, key=lambda ray: [x * (common // ray[-1]) for x in ray[:-1]])
+    vertices = tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in ordered)
+    polytope = SignaturePolytope(tuple(half_spaces), vertices, d)
+    homogeneous = tuple(r[-1] for r in ordered), tuple(list(r[:-1]) for r in ordered)
     object.__setattr__(polytope, "_homogeneous", homogeneous)  # fills the cached_property
     return polytope
 

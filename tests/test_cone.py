@@ -9,20 +9,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fsig import cone
 from fsig.cone import (
+    FullEmbedding,
     dual_cone_rays,
     extreme_rays,
     fraction_field_witness,
     full_embedding,
 )
 from fsig.exact import (
+    IntegerMatrix,
     dot,
     express_in_basis,
+    hermite_basis,
     matrix_rank,
     primitive_vector,
     solve_linear_system,
 )
 from fsig.families import segre_generators, veronese_generators
+from fsig.frobenius import count_aq
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import f_signature
 
@@ -286,6 +291,49 @@ class TestFullEmbedding:
                 emb.num_coordinates, emb.image_generators
             )
             assert f_signature(image_presentation).value == f_signature(p).value
+
+
+class TestLazyImageLattice:
+    """image_lattice is built on first read, from T, and only the counting code reads it."""
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [FREE2, RESCALED, segre_generators(2, 3), segre_generators(3, 3)]
+        + [veronese_generators(d, n) for d in (2, 3) for n in (2, 3)]
+        + random_presentations(20250811, 40),
+        ids=lambda p: p.name,
+    )
+    def test_is_the_hermite_basis_of_the_image(self, presentation):
+        emb = full_embedding(build_context(presentation))
+        assert "image_lattice" not in vars(emb)
+        assert emb.image_lattice == hermite_basis(emb.matrix_T.transpose())
+        assert emb.image_lattice is emb.image_lattice
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d + 3)
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_embeddings(self, rows):
+        emb = FullEmbedding((), IntegerMatrix(tuple(rows)), (), len(rows[0]))
+        assert emb.image_lattice == hermite_basis(IntegerMatrix(tuple(zip(*rows))))
+
+    def test_built_once_and_only_by_the_counting_code(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return hermite_basis(m)
+
+        monkeypatch.setattr(cone, "hermite_basis", counted)
+        result = f_signature(segre_generators(2, 2))
+        assert calls == []
+        emb = result.embedding
+        assert count_aq(emb, 3).a_q == 19
+        assert len(calls) == 1
+        assert count_aq(emb, 4).a_q == 44
+        assert len(calls) == 1
 
 
 class TestFractionFieldWitness:

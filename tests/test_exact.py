@@ -19,8 +19,8 @@ from fsig.exact import (
     dot,
     express_in_basis,
     extended_gcd_vector,
+    gauss_jordan,
     hermite_basis,
-    independent_rows,
     lattice_points_in_box,
     matrix_rank,
     primitive_vector,
@@ -206,9 +206,15 @@ def degenerate_matrix(rng, entry, nrows, ncols):
     return rows
 
 
+def independent_rows(rows):
+    """The rows independent of those before them: gauss_jordan's pivot columns of the transpose."""
+    return gauss_jordan(list(zip(*rows)))[0]
+
+
 class TestFractionFreeElimination:
-    """matrix_rank, determinant, rational_determinant and independent_rows
-    share one elimination; each is compared with an oracle written here."""
+    """matrix_rank, determinant and rational_determinant share one forward
+    elimination, and the independent rows come from the Gauss-Jordan pass;
+    each is compared with an oracle written here."""
 
     @pytest.mark.parametrize("entry", [small_int, small_fraction])
     def test_matrix_rank_matches_minor_rank(self, entry):
@@ -270,6 +276,64 @@ class TestFractionFreeElimination:
 
 def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+int_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=6)
+)
+
+square_int_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+class TestGaussJordan:
+    """The one fraction-free Gauss-Jordan pass: pivots, right block, square case."""
+
+    @given(int_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_pivot_columns_are_the_greedy_independent_rows_of_the_transpose(self, rows):
+        # the double description reads its start constraints off these pivots
+        columns = [list(c) for c in zip(*rows)]
+        assert gauss_jordan(rows)[0] == greedy_independent_rows(columns)
+
+    @given(int_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_right_block_times_the_pivot_columns_is_d_identity(self, rows):
+        pivots, d, right = gauss_jordan(rows)
+        k = len(pivots)
+        assert d != 0 and len(right) == len(rows)
+        assert all(len(row) == len(rows) for row in right)
+        chosen = [[row[j] for row in rows] for j in pivots]  # the pivot columns, as rows
+        product = matmul(right[:k], list(zip(*chosen)))
+        assert product == [[d if i == j else 0 for j in range(k)] for i in range(k)]
+        if k:  # d is +- the minor on the pivot columns and the rows that took the pivots
+            minor = [[row[j] for j in pivots] for row in rows]
+            assert abs(d) in {
+                abs(cofactor_determinant([minor[i] for i in r]))
+                for r in itertools.combinations(range(len(rows)), k)
+            }
+
+    @given(square_int_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_square_case_is_scaled_inverse(self, a):
+        n = len(a)
+        pivots, d, right = gauss_jordan(a)
+        det = cofactor_determinant(a)
+        assert scaled_inverse(a) == ((d, right) if det else (0, None))
+        assert (pivots == list(range(n))) == (det != 0)
+        if det:
+            assert abs(d) == abs(det)
+            scaled_identity = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+            assert matmul(right, a) == matmul(a, right) == scaled_identity
+
+    def test_skips_dependent_columns(self):
+        # columns 1 and 3 are combinations of the columns before them
+        pivots, d, right = gauss_jordan([(1, 2, 0, 1), (1, 2, 1, 2)])
+        assert pivots == [0, 2] and d == 1
+        assert right == ((1, 0), (-1, 1))
+        assert gauss_jordan([]) == ([], 1, ())
+        assert gauss_jordan([(0, 0), (0, 0)]) == ([], 1, ((1, 0), (0, 1)))
 
 
 class TestScaledInverse:

@@ -60,7 +60,7 @@ def hand_made(vertices, half_spaces):
 
 
 def degenerate_embedding(rows):
-    return FullEmbedding((), IntegerMatrix(rows), (), IntegerMatrix(()), 2)
+    return FullEmbedding((), IntegerMatrix(rows), (), 2)
 
 
 @st.composite
@@ -69,7 +69,7 @@ def slab_polytopes(draw):
     d = draw(st.integers(1, 4))
     rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=d + 2))
     assume(matrix_rank(rows) == d)
-    emb = FullEmbedding((), IntegerMatrix(rows), (), IntegerMatrix(()), d)
+    emb = FullEmbedding((), IntegerMatrix(rows), (), d)
     try:
         return signature_polytope(emb)
     except Unbounded:  # not full-dimensional, e.g. rows w and -w pin w . x to 0
@@ -121,6 +121,20 @@ class TestSignaturePolytope:
         # 0 <= x <= 1 and 0 <= -x <= 1 pin x to 0: a segment, not a polygon
         with pytest.raises(Unbounded, match="not full-dimensional"):
             signature_polytope(degenerate_embedding(((1, 0), (-1, 0), (0, 1))))
+
+    @pytest.mark.parametrize(
+        "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
+    )
+    def test_vertices_sorted_by_rational_value(self, presentation):
+        # signature_polytope sorts integer rows scaled to one denominator;
+        # the order must be that of the rational vertices
+        vertices = signature_polytope(full_embedding(build_context(presentation))).vertices
+        assert vertices == tuple(sorted(vertices))
+
+    @given(slab_polytopes())
+    @settings(max_examples=60, deadline=None)
+    def test_vertices_sorted_on_random_embeddings(self, polytope):
+        assert polytope.vertices == tuple(sorted(polytope.vertices))
 
     def test_contains_origin_and_is_bounded(self):
         for pres in (FREE2, veronese_generators(3, 2), segre_generators(2, 2)):
