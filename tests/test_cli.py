@@ -402,3 +402,243 @@ class TestFacetsCommand:
             **body,
         }
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+# the documents the goldens below read; "FILE" in a golden's argv stands for one
+GOLDEN_DOCUMENTS = {
+    "v22": (2, [[2, 0], [1, 1], [0, 2]], "v22"),
+    "slanted": (4, SLANTED, None),
+    "gap": (2, [[2, 0], [0, 1], [1, 1]], None),
+}
+
+SELFTEST_CHECKS = [
+    "hermite basis",
+    "determinant",
+    "express in basis",
+    "dual cone rays",
+    "rescaled free semigroup has signature 1",
+    "veronese(2,2) polytope volume 1/2",
+    "segre(2,2) signature 2/3",
+    "veronese(2,3) signature 1/3",
+    "free-rank counts",
+    "colength difference identity",
+    "eulerian numbers",
+    "segre closed forms",
+    "normality counterexample",
+]
+
+# case: (document or None, argv, exit code, text stdout, JSON body after the header)
+CLI_GOLDEN = {
+    "signature-named": (
+        "v22",
+        ["signature", "FILE"],
+        0,
+        """\
+name          v22
+ambient rank  2
+generators    3
+lattice rank  2
+facet count   2
+F-signature   1/2
+""",
+        {"lattice_rank": 2, "facet_count": 2, "signature": "1/2"},
+    ),
+    "signature-named-approx": (
+        "v22",
+        ["signature", "FILE", "--approx"],
+        0,
+        """\
+name          v22
+ambient rank  2
+generators    3
+lattice rank  2
+facet count   2
+F-signature   1/2
+approx        0.5
+""",
+        {"lattice_rank": 2, "facet_count": 2, "signature": "1/2", "signature_approx": "0.5"},
+    ),
+    "signature-unnamed": (
+        "slanted",
+        ["signature", "FILE"],
+        0,
+        """\
+name          (unnamed)
+ambient rank  4
+generators    4
+lattice rank  3
+facet count   4
+F-signature   2/3
+""",
+        {"lattice_rank": 3, "facet_count": 4, "signature": "2/3"},
+    ),
+    "signature-unnamed-approx": (
+        "slanted",
+        ["signature", "FILE", "--approx"],
+        0,
+        """\
+name          (unnamed)
+ambient rank  4
+generators    4
+lattice rank  3
+facet count   4
+F-signature   2/3
+approx        0.666666666667
+""",
+        {
+            "lattice_rank": 3,
+            "facet_count": 4,
+            "signature": "2/3",
+            "signature_approx": "0.666666666667",
+        },
+    ),
+    "aq": (
+        "v22",
+        ["aq", "FILE", "--q", "2,3"],
+        0,
+        """\
+     q           a_q           a_q/q^d
+     2             2               1/2
+     3             5               5/9
+""",
+        {
+            "lattice_rank": 2,
+            "table": [
+                {"q": 2, "a_q": 2, "ratio": "1/2"},
+                {"q": 3, "a_q": 5, "ratio": "5/9"},
+            ],
+        },
+    ),
+    "aq-approx": (
+        "v22",
+        ["aq", "FILE", "--q", "2,3", "--approx"],
+        0,
+        """\
+     q           a_q           a_q/q^d           ~approx
+     2             2               1/2               0.5
+     3             5               5/9    0.555555555556
+""",
+        {
+            "lattice_rank": 2,
+            "table": [
+                {"q": 2, "a_q": 2, "ratio": "1/2", "ratio_approx": "0.5"},
+                {"q": 3, "a_q": 5, "ratio": "5/9", "ratio_approx": "0.555555555556"},
+            ],
+        },
+    ),
+    "hk": (
+        "v22",
+        ["hk", "FILE", "--q", "2", "--t", "1"],
+        0,
+        """\
+witness monomial             (3, 3)
+colength at t=1, q=2         32
+colength with witness added  30
+difference                   2
+a_q                          2
+identity holds               yes
+""",
+        {
+            "t": 1,
+            "q": 2,
+            "witness_mu": [3, 3],
+            "colength_not_dividing": 32,
+            "colength_with_witness": 30,
+            "difference": 2,
+            "a_q": 2,
+            "identity_holds": True,
+        },
+    ),
+    "family-approx": (
+        None,
+        ["family", "segre", "2", "3", "--approx"],
+        0,
+        """\
+family                 segre(2,3)
+closed-form signature  11/24
+computed signature     11/24
+match                  yes
+approx                 0.458333333333
+""",
+        {
+            "family": "segre",
+            "parameters": [2, 3],
+            "closed_form": "11/24",
+            "computed": "11/24",
+            "computed_approx": "0.458333333333",
+            "match": True,
+        },
+    ),
+    "family-emit": (
+        None,
+        ["family", "segre", "2", "3", "--emit", "segre23.json"],
+        0,
+        """\
+family                 segre(2,3)
+closed-form signature  11/24
+computed signature     11/24
+match                  yes
+emitted                segre23.json
+""",
+        {
+            "family": "segre",
+            "parameters": [2, 3],
+            "closed_form": "11/24",
+            "computed": "11/24",
+            "match": True,
+            "emitted": "segre23.json",
+        },
+    ),
+    "check-normal": (
+        "v22",
+        ["check-normal", "FILE"],
+        0,
+        "normal up to bound 6 (bounded certificate only)\n",
+        {"bound": 6, "normal_up_to_bound": True, "counterexample": None},
+    ),
+    "check-normal-counterexample": (
+        "gap",
+        ["check-normal", "FILE", "--bound", "4"],
+        3,
+        "NOT normal: (1, 0) lies in the group and cone but is not a generator combination\n",
+        {"bound": 4, "normal_up_to_bound": False, "counterexample": [1, 0]},
+    ),
+    "selftest": (
+        None,
+        ["selftest"],
+        0,
+        "".join(f"PASS  {check}\n" for check in SELFTEST_CHECKS) + "13/13 checks passed\n",
+        {"results": [{"check": check, "pass": True} for check in SELFTEST_CHECKS], "failures": 0},
+    ),
+}
+
+
+class TestOutputIsPinned:
+    @pytest.mark.parametrize("case", list(CLI_GOLDEN))
+    def test_text_and_json(self, tmp_path, monkeypatch, capsys, case):
+        # stdout, stderr and exit code byte for byte, as text and as --json
+        monkeypatch.chdir(tmp_path)
+        document, argv, code, text, body = CLI_GOLDEN[case]
+        header = {"format_version": 1, "command": argv[0]}
+        if document is not None:
+            rank, generators, name = GOLDEN_DOCUMENTS[document]
+            path = write_doc(tmp_path / f"{document}.json", rank, generators, name=name)
+            argv = [path if a == "FILE" else a for a in argv]
+            header["input"] = {"name": name, "ambient_rank": rank, "generators": generators}
+        assert main(argv) == code
+        assert capsys.readouterr() == (text, "")
+        assert main([*argv, "--json"]) == code
+        assert capsys.readouterr() == (json.dumps({**header, **body}, indent=2) + "\n", "")
+
+    def test_emitted_document(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["family", "segre", "2", "3", "--emit", "segre23.json"]) == 0
+        generators = [[1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
+        generators += [[0, 1, 1, 0, 0], [0, 1, 0, 1, 0], [0, 1, 0, 0, 1]]
+        doc = {
+            "format_version": 1,
+            "ambient_rank": 5,
+            "generators": generators,
+            "name": "segre(2,3)",
+        }
+        assert (tmp_path / "segre23.json").read_text() == json.dumps(doc, indent=2) + "\n"
