@@ -9,11 +9,13 @@ Input documents are JSON with unbounded integers:
       "generators": [[2, 0], [1, 1], [0, 2]]
     }
 
-Every subcommand prints aligned text by default and a machine-readable JSON
-document with --json; rationals are always rendered exactly as "p/q"
-(signature, aq and family add a clearly labeled decimal column with
---approx).  Exit codes: 0 success, 1 selftest failure, 2 parse error,
-3 precondition violation, 4 budget exceeded.
+Each subcommand builds its output once, as a list of fields, and _report
+prints them: aligned text by default, a machine-readable JSON document with
+--json.  facets, aq, check-normal and selftest print free-form text instead
+of rows.  Rationals are always rendered exactly as "p/q" (signature, aq and
+family add a clearly labeled decimal field with --approx).  Exit codes:
+0 success, 1 selftest failure, 2 parse error, 3 precondition violation,
+4 budget exceeded.
 """
 
 import argparse
@@ -92,47 +94,56 @@ def emit_document(path: str, presentation: SemigroupPresentation) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _presentation_json(p: SemigroupPresentation) -> dict:
-    return {
-        "name": p.name,
-        "ambient_rank": p.ambient_rank,
-        "generators": [list(g) for g in p.generators],
-    }
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)
 
 
-def _print_kv(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)}  {value}")
+def _report(args, fields, presentation=None, lines=None) -> None:
+    """Print a command's output: one JSON document with --json, else text.
+
+    Each field is (json_key, text_label, value); a field with no key is text
+    only and one with no label is JSON only.  JSON renders Fractions as "p/q"
+    and tuples as lists; text prints aligned label-value rows, Fractions as
+    p/q and booleans as yes/NO, or the free-form lines when a command has them.
+    """
+    if args.json:
+        doc = {"format_version": FORMAT_VERSION, "command": args.command}
+        if presentation is not None:
+            doc["input"] = {
+                "name": presentation.name,
+                "ambient_rank": presentation.ambient_rank,
+                "generators": presentation.generators,
+            }
+        doc.update((key, value) for key, _, value in fields if key)
+        print(json.dumps(doc, indent=2, default=format_rational))
+    elif lines is not None:
+        for line in lines:
+            print(line)
+    else:
+        rows = [(label, _text(value)) for _, label, value in fields if label]
+        width = max(len(label) for label, _ in rows)
+        for label, value in rows:
+            print(f"{label.ljust(width)}  {value}")
 
 
 def cmd_signature(args) -> int:
     presentation = load_document(args.file)
     result = f_signature(presentation)
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "signature",
-            "input": _presentation_json(presentation),
-            "lattice_rank": result.embedding.rank,
-            "facet_count": result.embedding.num_coordinates,
-            "signature": format_rational(result.value),
-        }
-        if args.approx:
-            doc["signature_approx"] = approx_str(result.value)
-        print(json.dumps(doc, indent=2))
-    else:
-        rows = [
-            ("name", presentation.name or "(unnamed)"),
-            ("ambient rank", str(presentation.ambient_rank)),
-            ("generators", str(len(presentation.generators))),
-            ("lattice rank", str(result.embedding.rank)),
-            ("facet count", str(result.embedding.num_coordinates)),
-            ("F-signature", format_rational(result.value)),
-        ]
-        if args.approx:
-            rows.append(("approx", approx_str(result.value)))
-        _print_kv(rows)
+    fields = [
+        (None, "name", presentation.name or "(unnamed)"),
+        (None, "ambient rank", presentation.ambient_rank),
+        (None, "generators", len(presentation.generators)),
+        ("lattice_rank", "lattice rank", result.embedding.rank),
+        ("facet_count", "facet count", result.embedding.num_coordinates),
+        ("signature", "F-signature", result.value),
+    ]
+    if args.approx:
+        fields.append(("signature_approx", "approx", approx_str(result.value)))
+    _report(args, fields, presentation)
     return 0
 
 
@@ -140,41 +151,33 @@ def cmd_facets(args) -> int:
     presentation = load_document(args.file)
     ctx = build_context(presentation)
     emb = full_embedding(ctx)
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "facets",
-            "input": _presentation_json(presentation),
-            "lattice_rank": emb.rank,
-            "lattice_basis": [list(r) for r in ctx.lattice.rows],
-            "facets": [
-                {
-                    "coefficients": [format_rational(c) for c in f.coefficients],
-                    "values_on_generators": list(f.values_on_generators),
-                }
-                for f in emb.functionals
-            ],
-            "embedding_matrix": [list(r) for r in emb.matrix_T.rows],
-            "image_generators": [list(g) for g in emb.image_generators],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"lattice rank {emb.rank}, {emb.num_coordinates} facet functionals")
-        for k, f in enumerate(emb.functionals):
-            coeffs = ", ".join(format_rational(c) for c in f.coefficients)
-            vals = ", ".join(str(v) for v in f.values_on_generators)
-            print(f"  w{k}: coefficients ({coeffs})  values on generators ({vals})")
-        print("embedding matrix (rows act on lattice coordinates):")
-        for row in emb.matrix_T.rows:
-            print("  " + "  ".join(f"{x:>4}" for x in row))
-        print("image generators:")
-        for g, img in zip(presentation.generators, emb.image_generators):
-            print(f"  {tuple(g)} -> {tuple(img)}")
+    functionals = [
+        {"coefficients": f.coefficients, "values_on_generators": f.values_on_generators}
+        for f in emb.functionals
+    ]
+    fields = [
+        ("lattice_rank", None, emb.rank),
+        ("lattice_basis", None, ctx.lattice.rows),
+        ("facets", None, functionals),
+        ("embedding_matrix", None, emb.matrix_T.rows),
+        ("image_generators", None, emb.image_generators),
+    ]
+    lines = [f"lattice rank {emb.rank}, {emb.num_coordinates} facet functionals"]
+    for k, f in enumerate(emb.functionals):
+        coeffs = ", ".join(format_rational(c) for c in f.coefficients)
+        vals = ", ".join(str(v) for v in f.values_on_generators)
+        lines.append(f"  w{k}: coefficients ({coeffs})  values on generators ({vals})")
+    lines.append("embedding matrix (rows act on lattice coordinates):")
+    lines += ["  " + "  ".join(f"{x:>4}" for x in row) for row in emb.matrix_T.rows]
+    lines.append("image generators:")
+    for g, img in zip(presentation.generators, emb.image_generators):
+        lines.append(f"  {tuple(g)} -> {tuple(img)}")
+    _report(args, fields, presentation, lines)
     return 0
 
 
 def _parse_q_list(args) -> list[int]:
-    if args.q:
+    if args.q is not None:
         try:
             qs = [int(part) for part in args.q.split(",")]
         except ValueError as exc:
@@ -187,36 +190,22 @@ def _parse_q_list(args) -> list[int]:
 
 
 def cmd_aq(args) -> int:
+    qs = _parse_q_list(args)
     presentation = load_document(args.file)
     emb = full_embedding(build_context(presentation))
-    table = [count_aq(emb, q) for q in _parse_q_list(args)]
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "aq",
-            "input": _presentation_json(presentation),
-            "lattice_rank": emb.rank,
-            "table": [
-                {
-                    "q": row.q,
-                    "a_q": row.a_q,
-                    "ratio": format_rational(row.ratio),
-                    **({"ratio_approx": approx_str(row.ratio)} if args.approx else {}),
-                }
-                for row in table
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        header = f"{'q':>6}  {'a_q':>12}  {'a_q/q^d':>16}"
+    table = []
+    for q in qs:
+        row = count_aq(emb, q)
+        table.append({"q": row.q, "a_q": row.a_q, "ratio": row.ratio})
         if args.approx:
-            header += f"  {'~approx':>16}"
-        print(header)
-        for row in table:
-            line = f"{row.q:>6}  {row.a_q:>12}  {format_rational(row.ratio):>16}"
-            if args.approx:
-                line += f"  {approx_str(row.ratio):>16}"
-            print(line)
+            table[-1]["ratio_approx"] = approx_str(row.ratio)
+    header = ("q", "a_q", "a_q/q^d", "~approx")[: len(table[0])]
+    lines = [
+        "  ".join(f"{_text(x):>{width}}" for x, width in zip(cells, (6, 12, 16, 16)))
+        for cells in [header, *(row.values() for row in table)]
+    ]
+    fields = [("lattice_rank", None, emb.rank), ("table", None, table)]
+    _report(args, fields, presentation, lines)
     return 0
 
 
@@ -230,32 +219,17 @@ def cmd_hk(args) -> int:
     colengths = hk_colengths(emb, args.t, args.q, budget=args.budget)
     difference = colengths.not_dividing - colengths.with_witness
     a_q = count_aq(emb, args.q).a_q
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "hk",
-            "input": _presentation_json(presentation),
-            "t": args.t,
-            "q": args.q,
-            "witness_mu": list(colengths.mu),
-            "colength_not_dividing": colengths.not_dividing,
-            "colength_with_witness": colengths.with_witness,
-            "difference": difference,
-            "a_q": a_q,
-            "identity_holds": difference == a_q,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        _print_kv(
-            [
-                ("witness monomial", str(colengths.mu)),
-                (f"colength at t={args.t}, q={args.q}", str(colengths.not_dividing)),
-                ("colength with witness added", str(colengths.with_witness)),
-                ("difference", str(difference)),
-                ("a_q", str(a_q)),
-                ("identity holds", "yes" if difference == a_q else "NO"),
-            ]
-        )
+    fields = [
+        ("t", None, args.t),
+        ("q", None, args.q),
+        ("witness_mu", "witness monomial", colengths.mu),
+        ("colength_not_dividing", f"colength at t={args.t}, q={args.q}", colengths.not_dividing),
+        ("colength_with_witness", "colength with witness added", colengths.with_witness),
+        ("difference", "difference", difference),
+        ("a_q", "a_q", a_q),
+        ("identity_holds", "identity holds", difference == a_q),
+    ]
+    _report(args, fields, presentation)
     return 0
 
 
@@ -269,32 +243,22 @@ def cmd_family(args) -> int:
     computed = f_signature(presentation).value
     if args.emit:
         emit_document(args.emit, presentation)
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "family",
-            "family": args.kind,
-            "parameters": [args.p1, args.p2],
-            "closed_form": format_rational(closed),
-            "computed": format_rational(computed),
-            **({"computed_approx": approx_str(computed)} if args.approx else {}),
-            "match": closed == computed,
-        }
-        if args.emit:
-            doc["emitted"] = args.emit
-        print(json.dumps(doc, indent=2))
-    else:
-        rows = [
-            ("family", f"{args.kind}({args.p1},{args.p2})"),
-            ("closed-form signature", format_rational(closed)),
-            ("computed signature", format_rational(computed)),
-            ("match", "yes" if closed == computed else "NO"),
-        ]
-        if args.approx:
-            rows.append(("approx", approx_str(computed)))
-        if args.emit:
-            rows.append(("emitted", args.emit))
-        _print_kv(rows)
+    fields = [
+        ("family", None, args.kind),
+        ("parameters", None, (args.p1, args.p2)),
+        (None, "family", f"{args.kind}({args.p1},{args.p2})"),
+        ("closed_form", "closed-form signature", closed),
+        ("computed", "computed signature", computed),
+    ]
+    # JSON puts the approximation before the match, text after it
+    if args.approx:
+        fields.append(("computed_approx", None, approx_str(computed)))
+    fields.append(("match", "match", closed == computed))
+    if args.approx:
+        fields.append((None, "approx", approx_str(computed)))
+    if args.emit:
+        fields.append(("emitted", "emitted", args.emit))
+    _report(args, fields)
     return 0
 
 
@@ -304,27 +268,20 @@ def cmd_check_normal(args) -> int:
     presentation = load_document(args.file)
     ctx = build_context(presentation)
     verdict = check_normal(ctx, full_embedding(ctx).functionals, args.bound)
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "check-normal",
-            "input": _presentation_json(presentation),
-            "bound": verdict.bound,
-            "normal_up_to_bound": verdict.normal,
-            "counterexample": list(verdict.counterexample) if verdict.counterexample else None,
-        }
-        print(json.dumps(doc, indent=2))
+    fields = [
+        ("bound", None, verdict.bound),
+        ("normal_up_to_bound", None, verdict.normal),
+        ("counterexample", None, verdict.counterexample),
+    ]
+    if verdict.normal:
+        line = f"normal up to bound {verdict.bound} (bounded certificate only)"
     else:
-        if verdict.normal:
-            print(f"normal up to bound {verdict.bound} (bounded certificate only)")
-        else:
-            print(
-                f"NOT normal: {verdict.counterexample} lies in the group and cone "
-                "but is not a generator combination"
-            )
-    if not verdict.normal:
-        return 3
-    return 0
+        line = (
+            f"NOT normal: {verdict.counterexample} lies in the group and cone "
+            "but is not a generator combination"
+        )
+    _report(args, fields, presentation, [line])
+    return 0 if verdict.normal else 3
 
 
 def _selftest_checks():
@@ -423,7 +380,6 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
     results = []
     for label, thunk in _selftest_checks():
         try:
@@ -431,21 +387,11 @@ def cmd_selftest(args) -> int:
         except Exception as exc:  # a crash is a failure, keep going
             ok = False
             label = f"{label} ({type(exc).__name__}: {exc})"
-        results.append((label, ok))
-        if not ok:
-            failures += 1
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "command": "selftest",
-            "results": [{"check": label, "pass": ok} for label, ok in results],
-            "failures": failures,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for label, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        print(f"{len(results) - failures}/{len(results)} checks passed")
+        results.append({"check": label, "pass": ok})
+    failures = sum(not result["pass"] for result in results)
+    lines = [f"{'PASS' if r['pass'] else 'FAIL'}  {r['check']}" for r in results]
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
+    _report(args, [("results", None, results), ("failures", None, failures)], lines=lines)
     return 0 if failures == 0 else 1
 
 

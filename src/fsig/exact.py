@@ -22,7 +22,7 @@ coefficients pivot by pivot, the last over the interval the box cuts out.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index, itemgetter, mul, sub
+from operator import add, index, itemgetter, sub
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -50,13 +50,6 @@ class IntegerMatrix:
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.rows)) if self.rows else ())
-
-
-def dot(u: Sequence, v: Sequence):
-    """Scalar product; works for int and Fraction entries alike."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch in scalar product")
-    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:

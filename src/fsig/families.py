@@ -1,12 +1,11 @@
 """Built-in generator families with their closed-form signatures.
 
 Segre products of two polynomial rings and Veronese subrings, plus the
-Eulerian numbers in both their recursive and alternating-sum forms.  All
+Eulerian numbers in both their recurrence and alternating-sum forms.  All
 values are exact.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvalidParams
@@ -21,20 +20,22 @@ def binomial(m: int, k: int) -> int:
     return comb(m, k)
 
 
-@lru_cache(maxsize=None)
 def eulerian(d: int, s: int) -> int:
     """Eulerian number A(d, s): permutations of d objects with s-1 descents.
 
-    Computed by the recursion A(d,s) = s A(d-1,s) + (d-s+1) A(d-1,s-1) with
-    A(1,1) = 1; zero outside 1 <= s <= d.
+    Computed row by row from A(1,1) = 1 by the recurrence
+    A(m,k) = k A(m-1,k) + (m-k+1) A(m-1,k-1), keeping only the columns
+    k <= s; zero outside 1 <= s <= d.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if s < 1 or s > d:
         return 0
-    if d == 1:
-        return 1
-    return s * eulerian(d - 1, s) + (d - s + 1) * eulerian(d - 1, s - 1)
+    row = [0, 1] + [0] * (s - 1)  # row[k] = A(m, k), starting at m = 1
+    for m in range(2, d + 1):
+        for k in range(min(m, s), 0, -1):  # descending, so row[k-1] is still A(m-1, k-1)
+            row[k] = k * row[k] + (m - k + 1) * row[k - 1]
+    return row[s]
 
 
 def eulerian_alternating_sum(d: int, s: int) -> int:

@@ -2,10 +2,18 @@
 
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from fsig.exact import Vector, determinant, lattice_points_in_box
 from fsig.signature import _boundary_fan
+
+
+def dot(u: Sequence, v: Sequence):
+    """Scalar product; works for int and Fraction entries alike."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch in scalar product")
+    return sum(map(mul, u, v))
 
 
 def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bool:

@@ -103,8 +103,14 @@ class TestAqCommand:
 
     def test_bad_q_list_exit_2(self, veronese22_file, capsys):
         # unsorted, nonpositive and empty q lists
-        for flags in (["--q", "3,2"], ["--q", "0,2"], ["--q-max", "0"]):
+        for flags in (["--q", "3,2"], ["--q", "0,2"], ["--q-max", "0"], ["--q", ""]):
             assert main(["aq", veronese22_file, *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:")
+
+    def test_q_list_is_checked_before_the_document(self, capsys):
+        assert main(["aq", "/nonexistent/nowhere.json", "--q", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: --q expects")
 
 
 class TestHkCommand:

@@ -19,7 +19,6 @@ from fsig.cone import (
 )
 from fsig.exact import (
     IntegerMatrix,
-    dot,
     express_in_basis,
     hermite_basis,
     matrix_rank,
@@ -31,7 +30,7 @@ from fsig.frobenius import count_aq
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import f_signature
 
-from oracles import is_natural_combination
+from oracles import dot, is_natural_combination
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 RESCALED = SemigroupPresentation(2, ((2, 0), (0, 2)), name="rescaled")

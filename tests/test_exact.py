@@ -16,7 +16,6 @@ from fsig.exact import (
     IntegerMatrix,
     count_lattice_points,
     determinant,
-    dot,
     express_in_basis,
     extended_gcd_vector,
     gauss_jordan,
@@ -753,14 +752,6 @@ class TestSmallHelpers:
     def test_primitive_vector_of_zero_raises(self, row):
         with pytest.raises(ValueError):
             primitive_vector(row)
-
-    def test_dot(self):
-        assert dot((1, -2, 3), (4, 5, -6)) == -24
-        assert dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
-        assert dot((), ()) == 0
-        for u, v in [((1, 2), (1, 2, 3)), ((1,), ()), ((), (0,))]:
-            with pytest.raises(ValueError):
-                dot(u, v)
 
     def test_extended_gcd_vector_randomized(self):
         rng = random.Random(1708)

@@ -50,6 +50,11 @@ class TestEulerian:
             for s in range(0, d + 2):
                 assert eulerian(d, s) == eulerian_alternating_sum(d, s)
 
+    def test_deep_row_needs_no_recursion(self):
+        # d = 1101 is past the default recursion limit
+        expected = Fraction(eulerian_alternating_sum(1101, 2), factorial(1101))
+        assert segre_signature(1100, 2) == expected
+
 
 class TestBinomial:
     def test_vanishing_convention(self):

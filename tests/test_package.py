@@ -4,7 +4,11 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import fsig
+
+PACKAGE = Path(fsig.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -14,7 +18,7 @@ def test_every_exported_name_resolves():
 
 
 def test_every_module_level_import_is_used():
-    for path in sorted(Path(fsig.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -43,8 +47,7 @@ def _fraction_calls(node, scope=()):
 def test_facet_functionals_stay_integer():
     # from the double description to check_normal the functionals are integer
     # rays; only FacetFunctional.coefficients renders them as Fractions
-    package = Path(fsig.__file__).parent
-    semigroup = ast.parse((package / "semigroup.py").read_text(encoding="utf-8"))
+    semigroup = ast.parse((PACKAGE / "semigroup.py").read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(semigroup):
         if isinstance(node, ast.Name):
@@ -54,7 +57,7 @@ def test_facet_functionals_stay_integer():
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
     assert not names & {"Fraction", "fractions", "primitive_vector"}
-    cone = ast.parse((package / "cone.py").read_text(encoding="utf-8"))
+    cone = ast.parse((PACKAGE / "cone.py").read_text(encoding="utf-8"))
     assert set(_fraction_calls(cone)) == {"FacetFunctional.coefficients"}
 
 
@@ -65,7 +68,7 @@ def _module_state(module):
     or dict()/defaultdict() call, or a dict default of a function argument,
     which lives as long as the module does.
     """
-    tree = ast.parse((Path(fsig.__file__).parent / module).read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     dicts = []
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
@@ -100,10 +103,12 @@ def test_exact_keeps_no_module_state():
     assert not names & {"functools", "cache", "lru_cache", "cached_property"}
 
 
-def test_signature_keeps_no_module_state():
-    # the volume walk's face memo lives in each call, like the counter's;
-    # cached_property is allowed, as it keeps its value on the instance
-    state, names = _module_state("signature.py")
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_keeps_state(module):
+    # memos live in each call (the counter's, the volume walk's faces), never
+    # in module globals; cached_property is allowed outside exact.py, as it
+    # keeps its value on the instance
+    state, names = _module_state(module)
     assert not state, state
     assert not names & {"cache", "lru_cache"}
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
-from fsig.exact import dot, express_in_basis, lattice_points_in_box
+from fsig.exact import express_in_basis, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
 from fsig.semigroup import (
     NormalityVerdict,
@@ -19,7 +19,7 @@ from fsig.semigroup import (
     check_normal,
 )
 
-from oracles import is_natural_combination
+from oracles import dot, is_natural_combination
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 
