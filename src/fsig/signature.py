@@ -1,25 +1,26 @@
 """The signature polytope and its exact volume.
 
-For an embedding T of rank d, the polytope is {x in R^d : 0 <= (Tx)_i <= 1}.
+For an embedding T (n rows, rank d) the polytope is {x in R^d : 0 <= Tx <= 1}.
 Counting group elements whose image lies in [0, q-1]^n is, up to O(q^{d-1}),
 q^d times the volume of this polytope, so the exact rational volume is the
-limit of those normalized counts.  Vertices are found by double description
-on the homogenization cone, as primitive integer rays (r, t) for the vertex
-r / t, and the volume is computed in these integer rows and scales: integer
-tight sets give the vertex-incidence face lattice (faces are bitmasks of
-vertices); its fan is walked with one fraction-free step per face, |det| read
-at each vertex over one denominator; self_check keeps the centroid route.
+limit of those normalized counts.  The route follows the corank c = n - d:
+for c <= 1 one Gauss-Jordan pass on T gives a closed form and no vertex is
+enumerated.  For c >= 2 double description gives the vertices as primitive
+integer rays (r, t) for r / t, integer tight sets give the vertex-incidence
+face lattice (faces are bitmasks of vertices), and its fan is walked with one
+fraction-free step per face, |det| read at each vertex over one denominator.
+self_check also runs the walk and its centroid route.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .cone import FullEmbedding, extreme_rays, full_embedding
 from .errors import Unbounded
-from .exact import Vector, clear_denominators, matrix_rank, rational_determinant, vsub
+from .exact import Vector, clear_denominators, gauss_jordan, matrix_rank, rational_determinant, vsub
 from .semigroup import SemigroupPresentation, build_context
 
 RationalVector = tuple[Fraction, ...]
@@ -27,24 +28,49 @@ RationalVector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class SignaturePolytope:
-    """H-representation and vertices of {x : 0 <= (Tx)_i <= 1}.
+    """The slab {x in R^dim : 0 <= w . x <= 1 for every row w}.
 
-    half_spaces lists pairs (a, b) meaning a . x <= b, two per embedding
-    coordinate.  Vertices are sorted lexicographically; the origin is always
-    one of them.
+    half_spaces lists pairs (a, b) meaning a . x <= b: (-w, 0), then (w, 1).
+    The vertices are enumerated on first read; they are sorted
+    lexicographically and the origin is always one of them.
     """
 
-    half_spaces: tuple[tuple[Vector, int], ...]
-    vertices: tuple[RationalVector, ...]
+    rows: tuple[Vector, ...]
     dim: int
+
+    @property
+    def half_spaces(self) -> tuple[tuple[Vector, int], ...]:
+        return tuple(h for w in self.rows for h in ((tuple(-a for a in w), 0), (w, 1)))
+
+    @cached_property
+    def vertices(self) -> tuple[RationalVector, ...]:
+        scales, rows = self._homogeneous
+        return tuple(tuple(Fraction(x, t) for x in r) for t, r in zip(scales, rows))
 
     @cached_property
     def _homogeneous(self) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
         """Scales t_j and primitive integer rows r_j, vertex j = r_j / t_j.
 
-        These are the cleared vertices; signature_polytope sets its DD rays here.
+        The extreme rays (r, t) of the homogenization cone, each with t > 0 (a
+        ray with t = 0 is a recession direction: an invalid embedding); vertices
+        set by hand before the first read are cleared instead.
         """
-        return tuple(zip(*map(clear_denominators, self.vertices)))
+        if "vertices" in vars(self):
+            return tuple(zip(*map(clear_denominators, self.vertices)))
+        d = self.dim
+        # homogenized, a . x <= b reads b t - a . x >= 0; t >= 0 closes the cone
+        homogenized = [tuple(-x for x in a) + (b,) for a, b in self.half_spaces]
+        rays = extreme_rays(homogenized + [(0,) * d + (1,)])
+        if any(ray[-1] == 0 for ray in rays):
+            raise Unbounded("signature polytope has a recession direction")
+        if (0,) * d + (1,) not in rays:
+            raise Unbounded("origin is not a vertex; embedding is invalid")
+        if matrix_rank(rays) != d + 1:
+            raise Unbounded("signature polytope is not full-dimensional")
+        # vertex r / t is sorted as the integer row r * (L / t), L the lcm of the scales
+        common = lcm(*(ray[-1] for ray in rays))
+        ordered = sorted(rays, key=lambda ray: [x * (common // ray[-1]) for x in ray[:-1]])
+        return tuple(r[-1] for r in ordered), tuple(list(r[:-1]) for r in ordered)
 
 
 @dataclass(frozen=True)
@@ -59,33 +85,8 @@ class SignatureResult:
 
 
 def signature_polytope(emb: FullEmbedding) -> SignaturePolytope:
-    """Assemble the 2n half-spaces and enumerate the vertices exactly.
-
-    The polytope is homogenized to a pointed cone in dimension d + 1 whose
-    extreme rays (x, t) with t > 0 are the vertices x / t; a ray with t = 0
-    would be a recession direction, which signals an invalid embedding.
-    """
-    d = emb.rank
-    half_spaces = []
-    for w in emb.matrix_T.rows:
-        half_spaces.append((tuple(-a for a in w), 0))  # w . x >= 0
-        half_spaces.append((w, 1))  # w . x <= 1
-    # homogenized, a . x <= b reads b t - a . x >= 0; t >= 0 closes the cone
-    rays = extreme_rays([tuple(-x for x in a) + (b,) for a, b in half_spaces] + [(0,) * d + (1,)])
-    if any(ray[-1] == 0 for ray in rays):
-        raise Unbounded("signature polytope has a recession direction")
-    if (0,) * d + (1,) not in rays:
-        raise Unbounded("origin is not a vertex; embedding is invalid")
-    if matrix_rank(rays) != d + 1:
-        raise Unbounded("signature polytope is not full-dimensional")
-    # vertex r / t is sorted as the integer row r * (L / t), L the lcm of the scales
-    common = lcm(*(ray[-1] for ray in rays))
-    ordered = sorted(rays, key=lambda ray: [x * (common // ray[-1]) for x in ray[:-1]])
-    vertices = tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in ordered)
-    polytope = SignaturePolytope(tuple(half_spaces), vertices, d)
-    homogeneous = tuple(r[-1] for r in ordered), tuple(list(r[:-1]) for r in ordered)
-    object.__setattr__(polytope, "_homogeneous", homogeneous)  # fills the cached_property
-    return polytope
+    """The slab of the embedding's rows; its vertices are enumerated only when read."""
+    return SignaturePolytope(emb.matrix_T.rows, emb.rank)
 
 
 def _facets(face: int, tight: set[int]) -> list[int]:
@@ -113,22 +114,6 @@ def _triangulate(face: int, tight: set[int], memo: dict, fans: dict) -> list[tup
     return fans[face]
 
 
-def _boundary_fan(polytope: SignaturePolytope) -> dict[int, list[tuple[int, ...]]]:
-    """The facets of the polytope, each with a fan triangulation.
-
-    A face is the bitmask of its vertex indices.  The facets of a face F are
-    the inclusion-maximal proper nonempty F & tight_i, where tight_i holds the
-    vertices on the boundary of half-space i (see _tight_sets).  A face is
-    fanned from its lowest-index (lex-least) vertex over its facets that miss
-    that vertex, down to single vertices (see _pulled).  Simplices are tuples
-    of vertex indices.  polytope_volume walks the same fan without listing it.
-    """
-    tight = _tight_sets(polytope)
-    everything = (1 << len(polytope.vertices)) - 1
-    memo, fans = {}, {}
-    return {f: _triangulate(f, tight, memo, fans) for f in _facets(everything, tight)}
-
-
 def _tight_sets(polytope: SignaturePolytope) -> set[int]:
     """Per half-space a . x <= b, the bitmask of the j with a . r_j == b * t_j."""
     scales, rows = polytope._homogeneous
@@ -139,6 +124,60 @@ def _tight_sets(polytope: SignaturePolytope) -> set[int]:
 
 
 def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fraction:
+    """Exact d-volume of the slab, by the route its corank c = n - d allows.
+
+    c <= 1 is read in closed form; c >= 2, or rows that fail its checks, take
+    the walk, whose double description raises on an invalid slab.  On a
+    closed-form slab self_check=True runs the walk too; the routes must agree.
+    """
+    if (closed := _closed_form(polytope)) is None:
+        return _walk_volume(polytope, self_check)
+    if self_check and (walked := _walk_volume(polytope, True)) != closed:
+        raise ArithmeticError(f"volume routes disagree: {closed} versus {walked}")
+    return closed
+
+
+def _closed_form(polytope: SignaturePolytope) -> Fraction | None:
+    """The volume at corank c <= 1; None at c >= 2, if T lacks rank d or a is one-signed.
+
+    One Gauss-Jordan pass on [T | I]: for c = 0 the volume is 1 / |det T|, its
+    last pivot.  For c = 1 the row left without a pivot holds the signed
+    maximal minors of T, with gcd g_T; over g_T they are the primitive a with
+    a T = 0, and x -> Tx carries the slab onto the cube section a . y = 0.
+    Polya's formula, over the subsets S of the m nonzero a_i, with N the sum
+    of |a_i| over a_i < 0, is summed as one signed count per subset sum below N:
+
+        sum_S (-1)^|S| (N - sum_S |a_i|)_+^(m-1) / ((m-1)! prod |a_i| g_T)
+
+    By Gordan's lemma a one-signed a means a flat slab or a zero row of T,
+    which the walk rejects or measures.
+    """
+    d = polytope.dim
+    if len(polytope.rows) > d + 1:
+        return None
+    pivots, last, right = gauss_jordan(polytope.rows)
+    if len(pivots) < d:
+        return None
+    if len(right) == d:
+        return Fraction(1, abs(last))
+    minors = right[d]
+    if min(minors) >= 0 or max(minors) <= 0:
+        return None
+    g = gcd(*minors)
+    a = [abs(x) // g for x in minors if x]
+    # a and -a span the same kernel, and the section is symmetric: N may be either side
+    bound = min(sum(-x for x in minors if x < 0), sum(x for x in minors if x > 0)) // g
+    signed = {0: 1}  # subset sum v < N: the sum of (-1)^|S| over the S with that sum
+    for x in a:
+        for v, count in list(signed.items()):
+            if v + x < bound:
+                signed[v + x] = signed.get(v + x, 0) - count
+    m = len(a)
+    numerator = sum(count * (bound - v) ** (m - 1) for v, count in signed.items())
+    return Fraction(numerator, factorial(m - 1) * prod(a) * g)
+
+
+def _walk_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fraction:
     """Exact d-volume by fanning boundary simplices from the origin vertex.
 
     With vertex x_i = r_i / t_i and L the lcm of all the scales, the simplex

@@ -6,7 +6,7 @@ from operator import mul
 from typing import Sequence
 
 from fsig.exact import Vector, determinant, lattice_points_in_box
-from fsig.signature import _boundary_fan
+from fsig.signature import _facets, _tight_sets, _triangulate
 
 
 def dot(u: Sequence, v: Sequence):
@@ -65,13 +65,30 @@ def fraction_tight_sets(half_spaces, vertices) -> set[int]:
     }
 
 
+def boundary_fan(polytope) -> dict[int, list[tuple[int, ...]]]:
+    """The facets of the polytope, each with a fan triangulation.
+
+    A face is the bitmask of its vertex indices.  The facets of a face F are
+    the inclusion-maximal proper nonempty F & tight_i, where tight_i holds the
+    vertices on the boundary of half-space i (see signature._tight_sets).  A
+    face is fanned from its lowest-index (lex-least) vertex over its facets
+    that miss that vertex, down to single vertices (see signature._pulled).
+    Simplices are tuples of vertex indices.  The volume walk follows the same
+    fan without listing it.
+    """
+    tight = _tight_sets(polytope)
+    everything = (1 << len(polytope.vertices)) - 1
+    memo, fans = {}, {}
+    return {f: _triangulate(f, tight, memo, fans) for f in _facets(everything, tight)}
+
+
 def fan_volume(polytope) -> Fraction:
     """The polytope's volume summed one simplex at a time over the listed fan.
 
-    Every simplex of _boundary_fan on a facet missing the origin gets its own
+    Every simplex of boundary_fan on a facet missing the origin gets its own
     Bareiss determinant of the cleared vertex rows r_i, times the weights
     L / t_i (L the lcm of the scales t_i), over L^d d!.  It reads the same
-    fan as polytope_volume, so it checks the walk's elimination, not the
+    fan as the volume walk, so it checks the walk's elimination, not the
     face lattice.
     """
     d = polytope.dim
@@ -82,7 +99,7 @@ def fan_volume(polytope) -> Fraction:
     common = lcm(*scales)
     numerator = sum(
         abs(determinant([rows[i] for i in s])) * prod(common // scales[i] for i in s)
-        for facet, simplices in _boundary_fan(polytope).items()
+        for facet, simplices in boundary_fan(polytope).items()
         if not facet >> origin & 1
         for s in simplices
     )

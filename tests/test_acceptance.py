@@ -221,3 +221,21 @@ def test_criterion_8_invariance_suite():
     assert f_signature(swapped).value == base_value
 
     report("ACCEPTANCE 8 (invariance under reorder/relabel/rescale/block swap): PASS")
+
+
+def test_criterion_9_closed_form_reach():
+    """Corank 0 and 1 in closed form: Segre up to r + s = 20, Veronese up to d = 6."""
+    start = time.time()
+    segre = [(r, s) for r in range(2, 11) for s in range(r, 21 - r)]
+    for r, s in segre:
+        value = f_signature(segre_generators(r, s)).value
+        assert value == segre_signature(r, s), (r, s, value)
+    veronese = [(d, n) for d in range(2, 7) for n in range(2, 5)]
+    for d, n in veronese:
+        value = f_signature(veronese_generators(d, n)).value
+        assert value == Fraction(1, n), (d, n, value)
+    elapsed = time.time() - start
+    report(
+        f"ACCEPTANCE 9 (closed-form reach: {len(segre)} segre(r,s) with r + s <= 20, "
+        f"{len(veronese)} veronese(d,n) with d <= 6, n <= 4): PASS in {elapsed:.1f}s"
+    )

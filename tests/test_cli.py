@@ -70,6 +70,12 @@ class TestFamilyCommand:
         assert out == ""
         assert err.startswith("error: cannot write")
 
+    def test_segre_10_10_is_in_reach(self, capsys):
+        # corank 1: the closed form needs no vertex of the 19-dimensional polytope
+        assert main(["family", "segre", "10", "10", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["match"] is True
+
     def test_json_approx(self, capsys):
         assert main(["family", "segre", "2", "2", "--json", "--approx"]) == 0
         doc = json.loads(capsys.readouterr().out)

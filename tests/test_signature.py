@@ -16,15 +16,16 @@ from fsig.families import segre_generators, segre_signature, veronese_generators
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import (
     SignaturePolytope,
-    _boundary_fan,
+    _closed_form,
     _facets,
     _tight_sets,
+    _walk_volume,
     f_signature,
     polytope_volume,
     signature_polytope,
 )
 
-from oracles import fan_volume, fraction_tight_sets
+from oracles import boundary_fan, fan_volume, fraction_tight_sets
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 
@@ -54,9 +55,12 @@ FAMILY_MEMBERS = [segre_generators(r, s) for r in range(2, 5) for s in range(r, 
 ]
 
 
-def hand_made(vertices, half_spaces):
+def hand_made(vertices, rows):
+    """The slab of the rows, with its vertices given instead of enumerated."""
     vertices = tuple(sorted(tuple(map(Fraction, v)) for v in vertices))
-    return SignaturePolytope(tuple(half_spaces), vertices, len(vertices[0]))
+    polytope = SignaturePolytope(tuple(rows), len(vertices[0]))
+    object.__setattr__(polytope, "vertices", vertices)  # fills the cached_property
+    return polytope
 
 
 def degenerate_embedding(rows):
@@ -69,22 +73,25 @@ def slab_polytopes(draw):
     d = draw(st.integers(1, 4))
     rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=d + 2))
     assume(matrix_rank(rows) == d)
-    emb = FullEmbedding((), IntegerMatrix(rows), (), d)
+    polytope = signature_polytope(FullEmbedding((), IntegerMatrix(rows), (), d))
     try:
-        return signature_polytope(emb)
+        polytope.vertices
     except Unbounded:  # not full-dimensional, e.g. rows w and -w pin w . x to 0
         assume(False)
+    return polytope
 
 
-UNIT_CUBE = SignaturePolytope(
-    half_spaces=tuple(
-        h
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        for h in ((tuple(-x for x in e), 0), (e, 1))
-    ),
-    vertices=tuple(itertools.product((Fraction(0), Fraction(1)), repeat=3)),
-    dim=3,
-)
+@st.composite
+def corank_at_most_one(draw):
+    """Integer rows T of rank d <= 5, d or d + 1 of them."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.sampled_from((d, d + 1)))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=n, max_size=n))
+    assume(matrix_rank(rows) == d)
+    return tuple(rows)
+
+
+UNIT_CUBE = hand_made(itertools.product((0, 1), repeat=3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def F(a, b=1):
@@ -114,13 +121,23 @@ class TestSignaturePolytope:
 
     @pytest.mark.parametrize("rows", [((1, 0), (2, 0)), ((1, 1),)], ids=str)
     def test_rank_deficient_embedding_is_not_pointed(self, rows):
-        with pytest.raises(ValueError, match="not pointed"):
-            signature_polytope(degenerate_embedding(rows))
+        # the slab is built lazily; reading its vertices or its volume raises
+        for read in (lambda p: p.vertices, polytope_volume):
+            with pytest.raises(ValueError, match="not pointed"):
+                read(signature_polytope(degenerate_embedding(rows)))
 
     def test_opposite_functionals_give_a_flat_polytope(self):
         # 0 <= x <= 1 and 0 <= -x <= 1 pin x to 0: a segment, not a polygon
-        with pytest.raises(Unbounded, match="not full-dimensional"):
-            signature_polytope(degenerate_embedding(((1, 0), (-1, 0), (0, 1))))
+        for read in (lambda p: p.vertices, polytope_volume):
+            with pytest.raises(Unbounded, match="not full-dimensional"):
+                read(signature_polytope(degenerate_embedding(((1, 0), (-1, 0), (0, 1)))))
+
+    def test_vertices_are_enumerated_on_first_read(self):
+        polytope = signature_polytope(full_embedding(build_context(segre_generators(2, 3))))
+        assert "vertices" not in vars(polytope) and "_homogeneous" not in vars(polytope)
+        assert polytope_volume(polytope) == segre_signature(2, 3)
+        assert "vertices" not in vars(polytope) and "_homogeneous" not in vars(polytope)
+        assert len(polytope.vertices) == len(polytope._homogeneous[0]) > 0
 
     @pytest.mark.parametrize(
         "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
@@ -151,54 +168,46 @@ class TestPolytopeVolume:
         assert polytope_volume(signature_polytope(emb)) == 1
 
     def test_standard_triangle(self):
-        triangle = SignaturePolytope(
-            half_spaces=(((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)),
-            vertices=((F(0), F(0)), (F(0), F(1)), (F(1), F(0))),
-            dim=2,
-        )
-        assert polytope_volume(triangle) == F(1, 2) == fan_volume(triangle)
+        triangle = hand_made([(0, 0), (0, 1), (1, 0)], [(1, 0), (0, 1), (1, 1)])
+        assert polytope_volume(triangle) == F(1, 2) == fan_volume(triangle) == _walk_volume(triangle)
 
     def test_unit_cube_face_lattice(self):
         # [0,1]^3: each of the 3 facets missing the origin is a square, fanned
         # into 2 triangles; the 3 facets through the origin add no simplex
         cube = UNIT_CUBE
-        fan = _boundary_fan(cube)
+        fan = boundary_fan(cube)
         assert len(fan) == 6
         assert all(facet.bit_count() == 4 for facet in fan)
         origin_bit = 1 << cube.vertices.index((F(0),) * 3)
         missing_origin = [len(s) for f, s in fan.items() if not f & origin_bit]
         assert missing_origin == [2, 2, 2]
-        assert polytope_volume(cube) == 1 == fan_volume(cube)
+        assert polytope_volume(cube) == 1 == fan_volume(cube) == _walk_volume(cube)
 
     def test_veronese_strip(self):
         emb = full_embedding(build_context(veronese_generators(2, 2)))
         assert polytope_volume(signature_polytope(emb)) == F(1, 2)
 
     @pytest.mark.parametrize(
-        "vertices,half_spaces,volume",
+        "vertices,rows,volume",
         [
-            # triangle with vertex denominators 1, 2, 3
-            ([(0, 0), (F(1, 2), 0), (0, F(1, 3))], [((-1, 0), 0), ((0, -1), 0), ((2, 3), 1)], F(1, 12)),
+            # triangle with vertex denominators 1, 2, 3 (0 <= x, y <= 1 are slack)
+            ([(0, 0), (F(1, 2), 0), (0, F(1, 3))], [(1, 0), (0, 1), (2, 3)], F(1, 12)),
             # rectangle whose far corner has denominator 6
-            (
-                [(0, 0), (F(1, 2), 0), (0, F(1, 3)), (F(1, 2), F(1, 3))],
-                [((-1, 0), 0), ((0, -1), 0), ((2, 0), 1), ((0, 3), 1)],
-                F(1, 6),
-            ),
+            ([(0, 0), (F(1, 2), 0), (0, F(1, 3)), (F(1, 2), F(1, 3))], [(2, 0), (0, 3)], F(1, 6)),
             # simplex with vertex denominators 1, 2, 3, 5
             (
                 [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5))],
-                [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((2, 3, 5), 1)],
+                [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 5)],
                 F(1, 180),
             ),
         ],
         ids=["triangle", "rectangle", "simplex"],
     )
-    def test_mixed_vertex_denominators(self, vertices, half_spaces, volume):
-        p = hand_made(vertices, half_spaces)
+    def test_mixed_vertex_denominators(self, vertices, rows, volume):
+        p = hand_made(vertices, rows)
         assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
-        assert polytope_volume(p) == volume == fan_volume(p)
-        assert polytope_volume(p, self_check=True) == volume
+        assert polytope_volume(p) == volume == fan_volume(p) == _walk_volume(p)
+        assert polytope_volume(p, self_check=True) == volume == _walk_volume(p, self_check=True)
 
     @pytest.mark.parametrize(
         "presentation", [FREE2, *FAMILY_MEMBERS, *random_presentations()], ids=lambda p: p.name
@@ -209,6 +218,7 @@ class TestPolytopeVolume:
         emb = full_embedding(build_context(presentation))
         p = signature_polytope(emb)
         assert _tight_sets(p) == fraction_tight_sets(p.half_spaces, p.vertices)
+        assert _walk_volume(p, self_check=True) == fan_volume(p)
         assert polytope_volume(p, self_check=True) == polytope_volume(p) == fan_volume(p)
 
     @pytest.mark.parametrize(
@@ -219,7 +229,7 @@ class TestPolytopeVolume:
         # scales; clearing the rational vertices must give the same
         p = signature_polytope(full_embedding(build_context(presentation)))
         assert p._homogeneous == tuple(zip(*map(clear_denominators, p.vertices)))
-        rebuilt = SignaturePolytope(p.half_spaces, p.vertices, p.dim)
+        rebuilt = hand_made(p.vertices, p.rows)
         assert rebuilt._homogeneous == p._homogeneous
 
     @pytest.mark.parametrize(
@@ -250,7 +260,8 @@ class TestPolytopeVolume:
     @settings(max_examples=150, deadline=None, database=None)
     @given(slab_polytopes())
     def test_walk_matches_per_simplex_sum_on_random_slabs(self, p):
-        assert polytope_volume(p) == fan_volume(p)
+        assert _walk_volume(p) == fan_volume(p) == polytope_volume(p)
+        assert _walk_volume(p, self_check=True) == fan_volume(p)
         assert polytope_volume(p, self_check=True) == fan_volume(p)
 
     @pytest.mark.parametrize(
@@ -278,7 +289,7 @@ class TestPolytopeVolume:
             merged = tight - {a, b} | {a | b}
             monkeypatch.setattr(signature, "_tight_sets", lambda _: merged)
             try:
-                volume = polytope_volume(polytope)
+                volume = _walk_volume(polytope)
             except ArithmeticError as error:
                 assert "does not fan into simplices" in str(error), error
                 outcomes.add("raised")
@@ -305,7 +316,70 @@ class TestPolytopeVolume:
         polygon = hand_made(vertices, [])
         monkeypatch.setattr(signature, "_tight_sets", lambda _: tight)
         with pytest.raises(ArithmeticError, match=f"face {face:#b} does not fan"):
-            polytope_volume(polygon)
+            _walk_volume(polygon)
+
+
+def corank(polytope):
+    return len(polytope.rows) - polytope.dim
+
+
+class TestClosedForm:
+    """Corank <= 1 is read in closed form; it must equal the walk exactly."""
+
+    @pytest.mark.parametrize("seed,closed", [(20250811, 658), (7, 655)])
+    def test_routes_agree_on_the_random_stream(self, seed, closed):
+        # the benchmark's 40 presentations per cell, 840 per seed; a non-normal
+        # one is measured through its normalization
+        compared = 0
+        for presentation in random_presentations(seed, per_cell=40):
+            p = signature_polytope(full_embedding(build_context(presentation)))
+            if corank(p) <= 1:
+                assert _closed_form(p) == _walk_volume(p) is not None, presentation
+                compared += 1
+        assert compared == closed
+
+    @pytest.mark.parametrize("presentation", FAMILY_MEMBERS, ids=lambda p: p.name)
+    def test_routes_agree_on_the_families(self, presentation):
+        p = signature_polytope(full_embedding(build_context(presentation)))
+        assert corank(p) <= 1
+        assert _closed_form(p) == _walk_volume(p) == polytope_volume(p)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(corank_at_most_one())
+    def test_routes_agree_on_random_matrices(self, rows):
+        # a zero row or a flat slab is left to the walk, which measures or raises
+        p = SignaturePolytope(rows, len(rows[0]))
+        try:
+            walked = _walk_volume(p)
+        except Unbounded:
+            assert _closed_form(p) is None
+            with pytest.raises(Unbounded, match="not full-dimensional"):
+                polytope_volume(p)
+            return
+        assert polytope_volume(p) == walked
+        assert polytope_volume(p, self_check=True) == walked
+        if all(map(any, rows)):
+            assert _closed_form(p) == walked
+
+    def test_minor_gcd_divides_the_volume(self):
+        # the maximal minors of T are +-4, so g_T = 4 and a = (1, 1, -1) up
+        # to sign: the triangle x, y >= 0, x + y <= 1/2 has area 1/8, not 1/2
+        p = SignaturePolytope(((2, 0), (0, 2), (2, 2)), 2)
+        assert _closed_form(p) == F(1, 8) == _walk_volume(p) == polytope_volume(p)
+
+    def test_one_signed_kernel_is_flat_on_both_routes(self):
+        # (1, 1, 1) T = 0: x, y >= 0 and x + y <= 0 leave only the origin
+        p = SignaturePolytope(((1, 0), (0, 1), (-1, -1)), 2)
+        assert _closed_form(p) is None
+        for route in (_walk_volume, polytope_volume):
+            with pytest.raises(Unbounded, match="not full-dimensional"):
+                route(p)
+
+    def test_zero_row_is_left_to_the_walk(self):
+        # 0 <= 0 . x <= 1 holds everywhere: the slab is the unit square
+        p = SignaturePolytope(((1, 0), (0, 0), (0, 1)), 2)
+        assert _closed_form(p) is None
+        assert polytope_volume(p) == 1 == _walk_volume(p)
 
 
 class TestFSignature:
