@@ -287,7 +287,7 @@ def cmd_check_normal(args) -> int:
 def _selftest_checks():
     from .exact import IntegerMatrix, determinant, express_in_basis, hermite_basis
     from .frobenius import brute_force_aq, hk_difference_identity
-    from .signature import polytope_volume, signature_polytope
+    from .signature import _walk_volume, polytope_volume, signature_polytope
 
     free2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
     veronese22 = families.veronese_generators(2, 2)
@@ -315,8 +315,8 @@ def _selftest_checks():
         return f_signature(SemigroupPresentation(2, ((2, 0), (0, 2)))).value == 1
 
     def check_veronese_volume():
-        emb = full_embedding(build_context(veronese22))
-        return polytope_volume(signature_polytope(emb), self_check=True) == Fraction(1, 2)
+        p = signature_polytope(full_embedding(build_context(veronese22)))
+        return polytope_volume(p) == _walk_volume(p) == Fraction(1, 2)
 
     def check_segre_signature():
         return f_signature(segre22).value == Fraction(2, 3)

@@ -2,9 +2,9 @@
 
 Scalars are Python ints (arbitrary precision), so no overflow is possible
 and every result is exact.  fractions.Fraction is only for the displayed
-facet coefficients, the self_check volume (rational_determinant) and
-solve_linear_system, a reference kept for the tests.  Matrices and vectors
-are immutable tuples; all functions here are pure and thread-safe.
+facet coefficients and for rational_determinant and solve_linear_system,
+references kept for the tests.  Matrices and vectors are immutable tuples;
+all functions here are pure and thread-safe.
 
 Every elimination is fraction-free (Bareiss) and runs one loop, _bareiss:
 forward for rank and determinant, with rational rows first cleared of their

@@ -9,7 +9,6 @@ enumerated.  For c >= 2 double description gives the vertices as primitive
 integer rays (r, t) for r / t, integer tight sets give the vertex-incidence
 face lattice (faces are bitmasks of vertices), and its fan is walked with one
 fraction-free step per face, |det| read at each vertex over one denominator.
-self_check also runs the walk and its centroid route.
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from operator import mul
 
 from .cone import FullEmbedding, extreme_rays, full_embedding
 from .errors import Unbounded
-from .exact import Vector, clear_denominators, gauss_jordan, matrix_rank, rational_determinant, vsub
+from .exact import Vector, gauss_jordan, matrix_rank
 from .semigroup import SemigroupPresentation, build_context
 
 RationalVector = tuple[Fraction, ...]
@@ -52,11 +51,8 @@ class SignaturePolytope:
         """Scales t_j and primitive integer rows r_j, vertex j = r_j / t_j.
 
         The extreme rays (r, t) of the homogenization cone, each with t > 0 (a
-        ray with t = 0 is a recession direction: an invalid embedding); vertices
-        set by hand before the first read are cleared instead.
+        ray with t = 0 is a recession direction: an invalid embedding).
         """
-        if "vertices" in vars(self):
-            return tuple(zip(*map(clear_denominators, self.vertices)))
         d = self.dim
         # homogenized, a . x <= b reads b t - a . x >= 0; t >= 0 closes the cone
         homogenized = [tuple(-x for x in a) + (b,) for a, b in self.half_spaces]
@@ -98,20 +94,16 @@ def _facets(face: int, tight: set[int]) -> list[int]:
     return kept
 
 
-def _pulled(face: int, tight: set[int], memo: dict) -> tuple[int, list[int]]:
-    """Apex (lowest vertex index) of a face and its facets missing the apex, memoized."""
+def _pulled(face: int, tight: set[int], memo: dict) -> tuple[int, list[int], list[int]]:
+    """A face's apex, its facets missing the apex and its other vertices, memoized.
+
+    The apex is the lowest vertex index; the other vertices are increasing.
+    """
     if face not in memo:
         apex = (face & -face).bit_length() - 1
-        memo[face] = apex, [f for f in _facets(face, tight) if not f >> apex & 1]
+        others = [j for j in range(apex + 1, face.bit_length()) if face >> j & 1]
+        memo[face] = apex, [f for f in _facets(face, tight) if not f >> apex & 1], others
     return memo[face]
-
-
-def _triangulate(face: int, tight: set[int], memo: dict, fans: dict) -> list[tuple[int, ...]]:
-    if face not in fans:  # each face is listed once per call
-        apex, facets = _pulled(face, tight, memo)
-        simplices = [(apex,) + s for f in facets for s in _triangulate(f, tight, memo, fans)]
-        fans[face] = simplices or [(apex,)]  # a vertex has no facets
-    return fans[face]
 
 
 def _tight_sets(polytope: SignaturePolytope) -> set[int]:
@@ -123,18 +115,14 @@ def _tight_sets(polytope: SignaturePolytope) -> set[int]:
     }
 
 
-def polytope_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fraction:
+def polytope_volume(polytope: SignaturePolytope) -> Fraction:
     """Exact d-volume of the slab, by the route its corank c = n - d allows.
 
     c <= 1 is read in closed form; c >= 2, or rows that fail its checks, take
-    the walk, whose double description raises on an invalid slab.  On a
-    closed-form slab self_check=True runs the walk too; the routes must agree.
+    the walk, whose double description raises on an invalid slab.
     """
-    if (closed := _closed_form(polytope)) is None:
-        return _walk_volume(polytope, self_check)
-    if self_check and (walked := _walk_volume(polytope, True)) != closed:
-        raise ArithmeticError(f"volume routes disagree: {closed} versus {walked}")
-    return closed
+    closed = _closed_form(polytope)
+    return _walk_volume(polytope) if closed is None else closed
 
 
 def _closed_form(polytope: SignaturePolytope) -> Fraction | None:
@@ -177,7 +165,7 @@ def _closed_form(polytope: SignaturePolytope) -> Fraction | None:
     return Fraction(numerator, factorial(m - 1) * prod(a) * g)
 
 
-def _walk_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fraction:
+def _walk_volume(polytope: SignaturePolytope) -> Fraction:
     """Exact d-volume by fanning boundary simplices from the origin vertex.
 
     With vertex x_i = r_i / t_i and L the lcm of all the scales, the simplex
@@ -185,7 +173,6 @@ def _walk_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fract
     L^d d!.  Each facet missing the origin is walked down its fan with one
     Bareiss step per face on the apex's row; +-det is the entry left at a
     vertex, and a zero apex row (a broken face lattice) raises ArithmeticError.
-    self_check=True sums centroid pyramids over every facet's fan; they must agree.
     """
     d = polytope.dim
     if d == 0:
@@ -195,14 +182,12 @@ def _walk_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fract
     origin = rows.index([0] * d)
     common = lcm(*scales)
     weights = [common // t for t in scales]
-    memo, fans, members = {}, {}, {}  # per face: apex and facets, its fan, its other vertices
+    memo = {}  # per face: apex, facets and other vertices
 
     def walk(face: int, reduced: dict, prev: int) -> int:
-        # reduced[j]: vertex j's row after one Bareiss step per face above
-        apex, facets = _pulled(face, tight, memo)
-        if face not in members:  # reduced holds a row for every vertex of the face
-            members[face] = [j for j in reduced if j != apex and face >> j & 1]
-        others = members[face]
+        # reduced[j]: vertex j's row after one Bareiss step per face above; a
+        # walked face misses its parent's apex, so each of its vertices has one
+        apex, facets, others = _pulled(face, tight, memo)
         row = reduced[apex]
         p = next(filter(None, row), 0)
         if not p or (not facets and (others or len(row) > 1)):
@@ -219,17 +204,7 @@ def _walk_volume(polytope: SignaturePolytope, self_check: bool = False) -> Fract
 
     facets = _facets((1 << len(rows)) - 1, tight)
     numerator = sum(walk(f, dict(enumerate(rows)), 1) for f in facets if not f >> origin & 1)
-    total = Fraction(numerator, common**d * factorial(d))
-    if self_check:
-        centroid = tuple(sum(v[j] for v in polytope.vertices) / len(rows) for j in range(d))
-        apart = [vsub(v, centroid) for v in polytope.vertices]
-        second = sum(
-            abs(rational_determinant([apart[i] for i in s]))
-            for f in facets for s in _triangulate(f, tight, memo, fans)
-        ) / factorial(d)
-        if second != total:
-            raise ArithmeticError(f"volume decompositions disagree: {total} versus {second}")
-    return total
+    return Fraction(numerator, common**d * factorial(d))
 
 
 def f_signature(presentation: SemigroupPresentation) -> SignatureResult:

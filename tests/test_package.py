@@ -17,14 +17,15 @@ def test_every_exported_name_resolves():
         assert getattr(fsig, name) is not None, name
 
 
-def test_every_module_level_import_is_used():
+def test_every_import_is_used():
+    # module-level and function-level imports alike (cli imports inside a function)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {
             (alias.asname or alias.name).partition(".")[0]
-            for node in tree.body
+            for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names
         }
@@ -59,6 +60,24 @@ def test_facet_functionals_stay_integer():
     assert not names & {"Fraction", "fractions", "primitive_vector"}
     cone = ast.parse((PACKAGE / "cone.py").read_text(encoding="utf-8"))
     assert set(_fraction_calls(cone)) == {"FacetFunctional.coefficients"}
+
+
+def test_signature_keeps_no_rational_oracle():
+    # the volume routes stay in integer rows; the Fraction-based centroid
+    # route and its determinant live in tests/oracles.py
+    signature = ast.parse((PACKAGE / "signature.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(signature)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"rational_determinant", "clear_denominators"}
+    assert set(_fraction_calls(signature)) == {
+        "SignaturePolytope.vertices",
+        "_closed_form",
+        "_walk_volume",
+    }
 
 
 def _module_state(module):
