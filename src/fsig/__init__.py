@@ -9,7 +9,6 @@ from .cone import full_embedding
 from .errors import (
     BudgetError,
     BudgetExceeded,
-    DegenerateCone,
     EmptyPresentation,
     FsigError,
     InvalidParams,
@@ -19,8 +18,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     Unbounded,
-    WitnessNotFound,
-    ZeroFunctional,
 )
 from .families import segre_generators, veronese_generators
 from .frobenius import brute_force_aq, count_aq, hk_difference_identity
@@ -44,7 +41,6 @@ __all__ = [
     "veronese_generators",
     "BudgetError",
     "BudgetExceeded",
-    "DegenerateCone",
     "EmptyPresentation",
     "FsigError",
     "InvalidParams",
@@ -54,6 +50,4 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "Unbounded",
-    "WitnessNotFound",
-    "ZeroFunctional",
 ]

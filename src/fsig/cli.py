@@ -24,9 +24,9 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .cone import dual_cone_rays, full_embedding
+from .cone import full_embedding
 from .errors import BudgetError, ParseError, PreconditionError
-from .frobenius import count_aq, hk_colengths
+from .frobenius import count_aq, hk_difference_identity
 from .semigroup import SemigroupPresentation, build_context, check_normal
 from .signature import f_signature
 
@@ -216,18 +216,16 @@ def cmd_hk(args) -> int:
         raise ParseError("--budget must be a positive integer")
     presentation = load_document(args.file)
     emb = full_embedding(build_context(presentation))
-    colengths = hk_colengths(emb, args.t, args.q, budget=args.budget)
-    difference = colengths.not_dividing - colengths.with_witness
-    a_q = count_aq(emb, args.q).a_q
+    identity = hk_difference_identity(emb, args.t, args.q, budget=args.budget)
     fields = [
         ("t", None, args.t),
         ("q", None, args.q),
-        ("witness_mu", "witness monomial", colengths.mu),
-        ("colength_not_dividing", f"colength at t={args.t}, q={args.q}", colengths.not_dividing),
-        ("colength_with_witness", "colength with witness added", colengths.with_witness),
-        ("difference", "difference", difference),
-        ("a_q", "a_q", a_q),
-        ("identity_holds", "identity holds", difference == a_q),
+        ("witness_mu", "witness monomial", identity.mu),
+        ("colength_not_dividing", f"colength at t={args.t}, q={args.q}", identity.not_dividing),
+        ("colength_with_witness", "colength with witness added", identity.with_witness),
+        ("difference", "difference", identity.lhs),
+        ("a_q", "a_q", identity.rhs),
+        ("identity_holds", "identity holds", identity.equal),
     ]
     _report(args, fields, presentation)
     return 0
@@ -286,7 +284,7 @@ def cmd_check_normal(args) -> int:
 
 def _selftest_checks():
     from .exact import IntegerMatrix, determinant, express_in_basis, hermite_basis
-    from .frobenius import brute_force_aq, hk_difference_identity
+    from .frobenius import brute_force_aq
     from .signature import _walk_volume, polytope_volume, signature_polytope
 
     free2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
@@ -309,7 +307,7 @@ def _selftest_checks():
 
     def check_dual_rays():
         ctx = build_context(SemigroupPresentation(2, ((1, 0), (1, 2))))
-        return dual_cone_rays(ctx) == [(0, 1), (2, -1)]
+        return [f.ray for f in full_embedding(ctx).functionals] == [(0, 1), (2, -1)]
 
     def check_rescaled_free():
         return f_signature(SemigroupPresentation(2, ((2, 0), (0, 2)))).value == 1
@@ -339,7 +337,7 @@ def _selftest_checks():
         free_emb = full_embedding(build_context(free2))
         return (
             hk_difference_identity(emb, 1, 3).equal
-            and hk_difference_identity(free_emb, 1, 2) == (4, 4, True)
+            and hk_difference_identity(free_emb, 1, 2)[:3] == (4, 4, True)
         )
 
     def check_eulerian():

@@ -29,7 +29,6 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .errors import DegenerateCone, WitnessNotFound, ZeroFunctional
 from .exact import (
     IntegerMatrix,
     Vector,
@@ -110,11 +109,11 @@ def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector]]:
     on the basis rows and w is coprime, so the denominator m = d / g is whole.
     """
     if ctx.rank == 0:
-        raise DegenerateCone("generators span only the zero cone")
+        raise ValueError("generators span only the zero cone")
     basis = ctx.lattice.rows
     d, inverse = scaled_inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
     if d <= 0:
-        raise DegenerateCone("lattice basis lost rank")
+        raise ArithmeticError("lattice basis lost rank")
     columns = list(zip(*[[sum(map(mul, row, col)) for col in zip(*basis)] for row in inverse]))
     facets = []
     for w in extreme_rays([tuple(c) for c in ctx.generator_coords]):
@@ -122,11 +121,6 @@ def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector]]:
         g = gcd(*scaled)
         facets.append((tuple(x // g for x in scaled), d // g, w))
     return sorted(facets)
-
-
-def dual_cone_rays(ctx: SemigroupContext) -> list[Vector]:
-    """Minimal generating rays of the dual cone: the facets' ambient rays (see _facets)."""
-    return [ray for ray, _, _ in _facets(ctx)]
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ class FacetFunctional:
         if any(v < 0 for v in vals):
             raise ValueError("facet functional is negative on a generator")
         if not any(vals):
-            raise ZeroFunctional("functional vanishes on every generator")
+            raise ValueError("functional vanishes on every generator")
         if gcd(*vals) != 1:
             raise ValueError("facet values are not coprime; functional not primitive")
 
@@ -192,7 +186,7 @@ def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
     facets = _facets(ctx)
     matrix_t = IntegerMatrix(tuple(w for _, _, w in facets))
     if matrix_rank(matrix_t.rows) != ctx.rank:
-        raise DegenerateCone("stacked functionals do not separate the lattice")
+        raise ArithmeticError("stacked functionals do not separate the lattice")
     functionals = tuple(
         FacetFunctional(ray, m, tuple(sum(map(mul, w, c)) for c in ctx.generator_coords))
         for ray, m, w in facets
@@ -217,10 +211,7 @@ def fraction_field_witness(emb: FullEmbedding, i: int) -> Vector:
     column = [row[i] for row in lattice.rows]
     g, coeffs = extended_gcd_vector(column)
     if g != 1:
-        raise WitnessNotFound(
-            f"coordinate {i} of the image group is contained in {g}Z; "
-            "input is non-normal or degenerate"
-        )
+        raise ValueError(f"coordinate {i} of the image group lies in {g}Z: not a full embedding")
     x = (0,) * n
     for c, row in zip(coeffs, lattice.rows):
         if c:
@@ -230,10 +221,7 @@ def fraction_field_witness(emb: FullEmbedding, i: int) -> Vector:
         if img[i] == 0:
             alpha = vadd(alpha, img)
     if n > 1 and any(alpha[j] == 0 for j in range(n) if j != i):
-        raise WitnessNotFound(
-            f"facet {i} has no relative-interior generator sum; "
-            "input is non-normal or degenerate"
-        )
+        raise ValueError(f"facet {i} has no relative-interior generator sum: not a full embedding")
     t = 1
     for j in range(n):
         if j != i and x[j] > 0:
@@ -241,5 +229,5 @@ def fraction_field_witness(emb: FullEmbedding, i: int) -> Vector:
             t = max(t, -(-x[j] // alpha[j]))
     v = vadd(vscale(-1, x), vscale(t, alpha))
     if v[i] != -1 or any(v[j] < 0 for j in range(n) if j != i):
-        raise WitnessNotFound("witness construction failed; input is degenerate")
+        raise ValueError("witness construction failed: not a full embedding")
     return v

@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ParseError -> 2, PreconditionError -> 3,
-BudgetError -> 4.  Plain ValueError is reserved for caller contract
-violations (wrong dimensions, non-square determinant input, and the like).
+Three kinds of error, by whose fault it is:
+
+- ValueError: a broken caller contract (a parameter below 1, a hand-built
+  object that breaks its invariants; TypeError for a non-integer parameter).
+- FsigError subclasses: the input's fault.  The CLI maps them onto exit
+  codes: ParseError -> 2, PreconditionError -> 3, BudgetError -> 4.
+- ArithmeticError: a broken internal invariant, a bug that surfaces as a
+  traceback.
 """
 
 
@@ -27,23 +32,11 @@ class EmptyPresentation(PreconditionError):
 
 
 class InvalidPresentation(PreconditionError):
-    """Generators that are negative, zero, duplicated, or of wrong length."""
-
-
-class DegenerateCone(PreconditionError):
-    """The generators span only the zero cone, or the embedding lost rank."""
-
-
-class ZeroFunctional(PreconditionError):
-    """A candidate facet functional vanishes on every generator."""
-
-
-class WitnessNotFound(PreconditionError):
-    """No fraction-field witness exists; input is non-normal or degenerate."""
+    """An ambient rank below 1, or generators negative, zero, duplicated or of wrong length."""
 
 
 class Unbounded(PreconditionError):
-    """The signature polytope is unbounded; the embedding is invalid."""
+    """The signature slab contains a line or is flat; the embedding is invalid."""
 
 
 class NotPrimary(PreconditionError):

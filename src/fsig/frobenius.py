@@ -19,6 +19,7 @@ verbatim for every q.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
@@ -49,6 +50,7 @@ def count_aq(emb: FullEmbedding, q: int) -> FrobeniusCount:
     Counts against the Hermite basis of the image group with
     count_lattice_points, the last coefficient in closed form.
     """
+    q = index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     count = count_lattice_points(emb.image_lattice, (q - 1,) * emb.num_coordinates)
@@ -64,6 +66,7 @@ def brute_force_aq(
     under the embedding stays inside [0, q-1]^n, and counts the distinct
     image points reached.  Never consults the lattice enumeration.
     """
+    q = index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     emb = full_embedding(build_context(presentation))
@@ -124,16 +127,17 @@ class MonomialIdeal:
 
     @staticmethod
     def not_dividing(mu: Sequence[int], t: int) -> "MonomialIdeal":
+        t = index(t)
         if t < 1:
             raise ValueError("t must be a positive integer")
-        mu = tuple(int(x) for x in mu)
+        mu = tuple(map(index, mu))
         if any(x < 1 for x in mu):
             raise ValueError("the witness monomial must be strictly positive")
         return MonomialIdeal(bounds=(vscale(t, mu),))
 
     @staticmethod
     def generated_by(vectors: Sequence[Sequence[int]]) -> "MonomialIdeal":
-        return MonomialIdeal(generators=tuple(tuple(int(x) for x in v) for v in vectors))
+        return MonomialIdeal(generators=tuple(tuple(map(index, v)) for v in vectors))
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return MonomialIdeal(self.bounds + other.bounds, self.generators + other.generators)
@@ -196,6 +200,7 @@ def hk_colength(
     extreme g with g_j > 0, x_j < sum_g k_g g_j: the box is
     prod [0, sum_g k_g g_j - 1].
     """
+    q = index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     return _colength(emb, ideal.minimal_generators(emb), q, budget)
@@ -234,22 +239,23 @@ class HKIdentity(NamedTuple):
     lhs: int
     rhs: int
     equal: bool
-
-
-class HKColengths(NamedTuple):
     mu: Vector
     not_dividing: int
     with_witness: int
 
 
-def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) -> HKColengths:
-    """The socle witness mu and the two colengths of the difference identity.
+def hk_difference_identity(
+    emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000
+) -> HKIdentity:
+    """Check that the colength difference reproduces the free rank a_q.
 
-    not_dividing is the colength of the q-th Frobenius power of the
-    not-dividing ideal at level t; with_witness is the colength after
-    adjoining t*mu.  budget caps each colength: BudgetExceeded is raised
-    once a count passes it.
+    mu is the socle witness; not_dividing is the colength of the q-th
+    Frobenius power of the not-dividing ideal at level t, with_witness the
+    colength after adjoining t*mu.  lhs is their difference and rhs is
+    count_aq; the two agree for every q >= 1 and t >= 1.  budget caps each
+    colength: BudgetExceeded is raised once a count passes it.
     """
+    t, q = index(t), index(q)
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")
     mu = socle_witness(emb)
@@ -257,16 +263,7 @@ def hk_colengths(emb: FullEmbedding, t: int, q: int, budget: int = 5_000_000) ->
     gens = MonomialIdeal.not_dividing(mu, t).minimal_generators(emb)
     # mu is a sum of generator images, so t*mu needs no membership test
     enlarged = _minimalize(list(gens) + [vscale(t, mu)])
-    return HKColengths(mu, _colength(emb, gens, q, budget), _colength(emb, enlarged, q, budget))
-
-
-def hk_difference_identity(emb: FullEmbedding, t: int, q: int) -> HKIdentity:
-    """Check that the colength difference reproduces the free rank a_q.
-
-    lhs is hk_colengths' not_dividing minus with_witness; rhs is count_aq.
-    The two agree for every q >= 1 and t >= 1.
-    """
-    colengths = hk_colengths(emb, t, q)
-    lhs = colengths.not_dividing - colengths.with_witness
-    rhs = count_aq(emb, q).a_q
-    return HKIdentity(lhs, rhs, lhs == rhs)
+    not_dividing = _colength(emb, gens, q, budget)
+    with_witness = _colength(emb, enlarged, q, budget)
+    lhs, rhs = not_dividing - with_witness, count_aq(emb, q).a_q
+    return HKIdentity(lhs, rhs, lhs == rhs, mu, not_dividing, with_witness)

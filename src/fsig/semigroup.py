@@ -33,7 +33,11 @@ class SemigroupPresentation:
     name: str | None = None
 
     def __post_init__(self):
-        if self.ambient_rank < 1:
+        try:
+            rank = index(self.ambient_rank)
+        except TypeError:
+            rank = 0
+        if rank < 1:
             raise InvalidPresentation("ambient rank must be a positive integer")
         try:
             gens = tuple(tuple(map(index, g)) for g in self.generators)
@@ -43,10 +47,8 @@ class SemigroupPresentation:
             raise EmptyPresentation("a presentation needs at least one generator")
         seen = set()
         for g in gens:
-            if len(g) != self.ambient_rank:
-                raise InvalidPresentation(
-                    f"generator {g} does not have {self.ambient_rank} coordinates"
-                )
+            if len(g) != rank:
+                raise InvalidPresentation(f"generator {g} does not have {rank} coordinates")
             if any(x < 0 for x in g):
                 raise InvalidPresentation(f"generator {g} has a negative coordinate")
             if all(x == 0 for x in g):
@@ -54,6 +56,7 @@ class SemigroupPresentation:
             if g in seen:
                 raise InvalidPresentation(f"duplicate generator {g}")
             seen.add(g)
+        object.__setattr__(self, "ambient_rank", rank)
         object.__setattr__(self, "generators", gens)
 
 
@@ -115,6 +118,7 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
     Hermite pivot coordinates u in [0, bound]^d, B = bound + 1.  These fix a lattice point,
     and bit order is lexicographic.  Facets cut each run of _lattice_runs to a bit progression.
     """
+    bound = index(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     base, pivots = bound + 1, _pivot_columns(ctx.lattice)

@@ -50,17 +50,17 @@ class SignaturePolytope:
     def _homogeneous(self) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
         """Scales t_j and primitive integer rows r_j, vertex j = r_j / t_j.
 
-        The extreme rays (r, t) of the homogenization cone, each with t > 0 (a
-        ray with t = 0 is a recession direction: an invalid embedding).
+        The extreme rays (r, t) of the homogenization cone.  Rows of rank d
+        bound the slab and make the origin a vertex, so each ray has t > 0;
+        rows of lower rank leave a line in the slab, decided before the
+        double description.
         """
         d = self.dim
+        if matrix_rank(self.rows) < d:
+            raise Unbounded("signature polytope contains a line: its rows have rank below d")
         # homogenized, a . x <= b reads b t - a . x >= 0; t >= 0 closes the cone
         homogenized = [tuple(-x for x in a) + (b,) for a, b in self.half_spaces]
         rays = extreme_rays(homogenized + [(0,) * d + (1,)])
-        if any(ray[-1] == 0 for ray in rays):
-            raise Unbounded("signature polytope has a recession direction")
-        if (0,) * d + (1,) not in rays:
-            raise Unbounded("origin is not a vertex; embedding is invalid")
         if matrix_rank(rays) != d + 1:
             raise Unbounded("signature polytope is not full-dimensional")
         # vertex r / t is sorted as the integer row r * (L / t), L the lcm of the scales

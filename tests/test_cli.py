@@ -134,17 +134,16 @@ class TestHkCommand:
     def test_json_matches_library(self, veronese22_file, capsys):
         from fsig.cone import full_embedding
         from fsig.families import veronese_generators
-        from fsig.frobenius import hk_colengths, hk_difference_identity
+        from fsig.frobenius import hk_difference_identity
         from fsig.semigroup import build_context
 
         assert main(["hk", veronese22_file, "--q", "3", "--t", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         emb = full_embedding(build_context(veronese_generators(2, 2)))
-        colengths = hk_colengths(emb, 2, 3)
-        assert doc["witness_mu"] == list(colengths.mu)
-        assert (doc["colength_not_dividing"], doc["colength_with_witness"]) == colengths[1:]
         identity = hk_difference_identity(emb, 2, 3)
-        assert (doc["difference"], doc["a_q"], doc["identity_holds"]) == identity
+        assert doc["witness_mu"] == list(identity.mu)
+        assert (doc["colength_not_dividing"], doc["colength_with_witness"]) == identity[4:]
+        assert (doc["difference"], doc["a_q"], doc["identity_holds"]) == identity[:3]
 
     def test_budget_reaches_the_colength(self, veronese22_file, capsys):
         assert main(["hk", veronese22_file, "--q", "3", "--budget", "1"]) == 4
@@ -153,12 +152,12 @@ class TestHkCommand:
         from fsig.cone import full_embedding
         from fsig.errors import BudgetExceeded
         from fsig.families import veronese_generators
-        from fsig.frobenius import hk_colengths
+        from fsig.frobenius import hk_difference_identity
         from fsig.semigroup import build_context
 
         emb = full_embedding(build_context(veronese_generators(2, 2)))
         with pytest.raises(BudgetExceeded) as caught:
-            hk_colengths(emb, 1, 8, budget=20)
+            hk_difference_identity(emb, 1, 8, budget=20)
         assert main(["hk", veronese22_file, "--q", "8", "--budget", "20"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -17,7 +17,6 @@ from fsig.frobenius import (
     brute_force_aq,
     count_aq,
     hk_colength,
-    hk_colengths,
     hk_difference_identity,
     socle_witness,
 )
@@ -308,13 +307,13 @@ class TestHkColength:
         # closure from 0 counts the semigroup, the lattice count (like
         # count_aq and f_signature) the normalization
         emb = emb_of(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
-        colengths = hk_colengths(emb, 1, 3)
-        assert colengths == ((2, 4), 135, 126)
-        ideal = MonomialIdeal.not_dividing(colengths.mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([colengths.mu])
+        identity = hk_difference_identity(emb, 1, 3)
+        assert identity[3:] == ((2, 4), 135, 126)
+        ideal = MonomialIdeal.not_dividing(identity.mu, 1)
+        enlarged = ideal + MonomialIdeal.generated_by([identity.mu])
         assert closure_colength(emb, ideal, 3) == 128
         assert closure_colength(emb, enlarged, 3) == 119
-        assert colengths.not_dividing - colengths.with_witness == count_aq(emb, 3).a_q
+        assert identity.lhs == 135 - 126 == count_aq(emb, 3).a_q == identity.rhs
 
     @pytest.mark.parametrize(
         "presentation", [segre_generators(2, 2), veronese_generators(3, 2)], ids=lambda p: p.name
@@ -330,8 +329,9 @@ class TestHkColength:
 
         emb = emb_of(presentation)
         monkeypatch.setattr(frobenius, "count_lattice_points", recording)
-        colengths = hk_colengths(emb, 1, 3)
-        assert counted == [colengths.not_dividing, colengths.with_witness]
+        identity = hk_difference_identity(emb, 1, 3)
+        # the two colengths, then count_aq's box
+        assert counted == [identity.not_dividing, identity.with_witness, identity.rhs]
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(small_ideals())
@@ -343,7 +343,7 @@ class TestHkColength:
 
 class TestDifferenceIdentity:
     def test_free_plane(self):
-        assert hk_difference_identity(emb_of(FREE2), 1, 2) == (4, 4, True)
+        assert hk_difference_identity(emb_of(FREE2), 1, 2)[:3] == (4, 4, True)
 
     def test_veronese_all_t(self):
         emb = emb_of(veronese_generators(2, 2))

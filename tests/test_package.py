@@ -1,4 +1,5 @@
-"""The package namespace, its modules' imports and the README's library example."""
+"""The package namespace, its errors and integer parameters, its modules' imports and the
+README's library example."""
 
 import ast
 import re
@@ -7,14 +8,106 @@ from pathlib import Path
 import pytest
 
 import fsig
+from fsig.frobenius import MonomialIdeal, hk_colength, socle_witness
 
 PACKAGE = Path(fsig.__file__).parent
+
+EXPORTED = [
+    "BudgetError",
+    "BudgetExceeded",
+    "EmptyPresentation",
+    "FsigError",
+    "InvalidParams",
+    "InvalidPresentation",
+    "NonNormalInput",
+    "NotPrimary",
+    "ParseError",
+    "PreconditionError",
+    "SemigroupPresentation",
+    "Unbounded",
+    "brute_force_aq",
+    "build_context",
+    "check_normal",
+    "count_aq",
+    "f_signature",
+    "full_embedding",
+    "hk_difference_identity",
+    "polytope_volume",
+    "segre_generators",
+    "signature_polytope",
+    "veronese_generators",
+]
 
 
 def test_every_exported_name_resolves():
     assert len(set(fsig.__all__)) == len(fsig.__all__)
     for name in fsig.__all__:
         assert getattr(fsig, name) is not None, name
+
+
+def test_exported_names_are_pinned():
+    # a name added to or dropped from the namespace is a deliberate change
+    assert sorted(fsig.__all__) == EXPORTED
+
+
+def test_every_exported_error_is_raised():
+    # an error class is exported for callers to catch, so each one that has
+    # no subclass of its own must be raised by name somewhere in the package;
+    # the categories above them (FsigError, PreconditionError, BudgetError)
+    # are what the CLI catches
+    raised = {
+        node.exc.func.id
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    errors = [getattr(fsig, name) for name in fsig.__all__]
+    errors = [e for e in errors if isinstance(e, type) and issubclass(e, fsig.FsigError)]
+    leaves = {e.__name__ for e in errors if not e.__subclasses__()}
+    # NonNormalInput is waiting for a decided normality check (ROADMAP item 2)
+    assert leaves - raised == {"NonNormalInput"}
+
+
+class Three:
+    """An integer that is not an int, as numpy's are: read through __index__."""
+
+    def __index__(self):
+        return 3
+
+
+VERONESE22 = fsig.veronese_generators(2, 2)
+CONTEXT = fsig.build_context(VERONESE22)
+EMBEDDING = fsig.full_embedding(CONTEXT)
+INTEGER_PARAMETERS = {
+    "hk_difference_identity-t": lambda t: fsig.hk_difference_identity(EMBEDDING, t, 2),
+    "hk_difference_identity-q": lambda q: fsig.hk_difference_identity(EMBEDDING, 1, q),
+    "hk_colength": lambda q: hk_colength(
+        EMBEDDING, MonomialIdeal.not_dividing(socle_witness(EMBEDDING), 1), q
+    ),
+    "count_aq": lambda q: fsig.count_aq(EMBEDDING, q),
+    "brute_force_aq": lambda q: fsig.brute_force_aq(VERONESE22, q),
+    "MonomialIdeal.not_dividing": lambda t: MonomialIdeal.not_dividing((1, 1), t),
+    "MonomialIdeal.not_dividing-mu": lambda x: MonomialIdeal.not_dividing((1, x), 1),
+    "MonomialIdeal.generated_by": lambda x: MonomialIdeal.generated_by([(1, x)]),
+    "check_normal": lambda bound: fsig.check_normal(CONTEXT, EMBEDDING.functionals, bound),
+    "SemigroupPresentation": lambda rank: fsig.SemigroupPresentation(
+        rank, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_are_read_with_index(entry):
+    # a float or a string is refused where it enters, not read as a wrong
+    # answer or a failure further down; anything with __index__ is an integer
+    call = INTEGER_PARAMETERS[entry]
+    error = fsig.InvalidPresentation if entry == "SemigroupPresentation" else TypeError
+    for wrong in (2.5, 3.0, "3"):
+        with pytest.raises(error):
+            call(wrong)
+    assert call(Three()) == call(3)
 
 
 def test_every_import_is_used():

@@ -120,12 +120,16 @@ class TestSignaturePolytope:
             (F(1), F(0)),
         )
 
-    @pytest.mark.parametrize("rows", [((1, 0), (2, 0)), ((1, 1),)], ids=str)
+    @pytest.mark.parametrize(
+        "rows", [((1, 0), (2, 0)), ((1, 1),), ((1, 0),), ((1, 1), (2, 2), (1, 1))], ids=str
+    )
     def test_rank_deficient_embedding_is_not_pointed(self, rows):
-        # the slab is built lazily; reading its vertices or its volume raises
+        # rows of rank below d leave a line in the slab, which is decided
+        # before the double description; the slab is built lazily, so reading
+        # its vertices or its volume raises
         for read in (lambda p: p.vertices, polytope_volume):
-            with pytest.raises(ValueError, match="not pointed"):
-                read(signature_polytope(degenerate_embedding(rows)))
+            with pytest.raises(Unbounded, match="contains a line"):
+                read(SignaturePolytope(rows, 2))
 
     def test_opposite_functionals_give_a_flat_polytope(self):
         # 0 <= x <= 1 and 0 <= -x <= 1 pin x to 0: a segment, not a polygon
