@@ -22,7 +22,7 @@ coefficients pivot by pivot, the last over the interval the box cuts out.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index, itemgetter, sub
+from operator import add, index, itemgetter, le, sub
 from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
@@ -410,7 +410,11 @@ def count_lattice_points(
     there and the set of live avoid vectors, as rows k.. change and read no
     final coordinate.  Every level, the last included, is memoized on
     (k, live bitmask, open coordinates) in a dict local to the call; the
-    bitmask (one bit per avoid vector) is carried down the walk.
+    bitmask (one bit per avoid vector) is carried down the walk.  At the last
+    row a live vector holds on every final coordinate, so a vector at least
+    another on the open ones cuts a sub-interval of the other's: only the
+    front, the live vectors minimal there (one per value), is scored,
+    found once per live bitmask.
 
     With limit set, counting stops once the running count passes it, and the
     returned number is then some count above limit: a memoized branch can
@@ -451,7 +455,17 @@ def count_lattice_points(
     # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
     # At the last row they are its pivot and final[d - 1], all that count_last reads.
     opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d)]
+    leaf = [last] + final[-1]
     memo: dict[tuple, int] = {}
+    fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
+
+    def front(live) -> list:
+        # sorted on leaf, a vector comes after every vector below it there
+        minimal: dict[tuple, tuple] = {}
+        for u, item in sorted((tuple(item[0][j] for j in leaf), item) for item in live):
+            if not any(all(map(le, w, u)) for w in minimal):
+                minimal[u] = item
+        return list(minimal.values())
 
     def count_last(point: list[int], live) -> int:
         lo, hi = -(point[last] // step), (bounds[last] - point[last]) // step
@@ -484,7 +498,9 @@ def count_lattice_points(
         if key in memo:
             return memo[key]
         if k == d - 1:
-            memo[key] = count = count_last(point, live)
+            if bits not in fronts:
+                fronts[bits] = front(live)
+            memo[key] = count = count_last(point, fronts[bits])
             return count
         row, p, others = rows[k], pivots[k], final[k]
         step = row[p]
@@ -520,3 +536,4 @@ def count_lattice_points(
         return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
     finally:
         memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass
+        fronts.clear()

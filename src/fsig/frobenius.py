@@ -19,7 +19,7 @@ verbatim for every q.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import add, index, le
 from typing import NamedTuple, Sequence
 
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
@@ -77,8 +77,8 @@ def brute_force_aq(
     while frontier:
         point = frontier.pop()
         for g in images:
-            nxt = vadd(point, g)
-            if nxt in seen or any(x >= q for x in nxt):
+            nxt = tuple(map(add, point, g))
+            if nxt in seen or max(nxt) >= q:
                 continue
             seen.add(nxt)
             if len(seen) > budget:
@@ -167,7 +167,7 @@ class MonomialIdeal:
 
 
 def _leq(u: Vector, v: Vector) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def _minimalize(vectors: list[Vector]) -> tuple[Vector, ...]:

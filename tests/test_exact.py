@@ -29,6 +29,7 @@ from fsig.exact import (
     solve_linear_system,
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
+from fsig.frobenius import MonomialIdeal, socle_witness
 from fsig.semigroup import build_context
 from oracles import counted_by_enumeration
 
@@ -537,6 +538,46 @@ def last_level_states(basis, bounds):
     return prefixes, states
 
 
+CORPUS_PRESENTATIONS = (
+    segre_generators(2, 2),
+    segre_generators(2, 3),
+    veronese_generators(3, 2),
+    veronese_generators(2, 4),
+)
+
+
+def crowded_avoid(basis, bounds, rng, size):
+    """size avoid vectors, grown from four just below box points of the upper
+    half.  Each later vector copies an earlier one and either changes columns
+    the last row leaves alone, so the two agree on the columns the last row
+    moves but may not both be live at the last level, or raises columns the
+    last row moves, so it dominates the copy there."""
+    points = sorted(lattice_points_in_box(basis, bounds), key=sum)
+    points = points[len(points) // 2 :]
+    moved = [j for j, s in enumerate(basis.rows[-1]) if s]
+    kept = [j for j, s in enumerate(basis.rows[-1]) if not s]
+    vectors = [tuple(x - rng.randint(0, 1) for x in rng.choice(points)) for _ in range(4)]
+    while len(vectors) < size:
+        v = list(rng.choice(vectors))
+        if kept and rng.random() < 0.5:
+            for j in rng.sample(kept, rng.randint(1, len(kept))):
+                v[j] += rng.randint(-1, 2)
+        else:
+            for j in rng.sample(moved, rng.randint(1, len(moved))):
+                v[j] += rng.randint(0, 2)
+        vectors.append(tuple(v))
+    return vectors
+
+
+def assert_every_limit_counts(basis, bounds, avoid):
+    """The count equals the enumeration, and every limit up to it stops past it."""
+    full = counted_by_enumeration(basis, bounds, avoid)
+    assert count_lattice_points(basis, bounds, avoid) == full, (bounds, avoid)
+    for limit in range(full + 2):
+        counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+        assert counted > limit if full > limit else counted == full, (bounds, avoid, limit)
+
+
 class TestCountLatticePoints:
     @pytest.mark.parametrize("rows", HAND_MADE_BASES)
     def test_hand_made_bases_match_enumeration(self, rows):
@@ -578,16 +619,7 @@ class TestCountLatticePoints:
             assert counted_by_enumeration(basis, bounds) == 0
         assert count_lattice_points(hermite_basis(IntegerMatrix(((0, 0),))), (0, -1)) == 0
 
-    @pytest.mark.parametrize(
-        "presentation",
-        [
-            segre_generators(2, 2),
-            segre_generators(2, 3),
-            veronese_generators(3, 2),
-            veronese_generators(2, 4),
-        ],
-        ids=lambda p: p.name,
-    )
+    @pytest.mark.parametrize("presentation", CORPUS_PRESENTATIONS, ids=lambda p: p.name)
     def test_corpus_embeddings_match_enumeration(self, presentation):
         emb = full_embedding(build_context(presentation))
         basis, n = emb.image_lattice, emb.num_coordinates
@@ -693,19 +725,47 @@ class TestCountLatticePoints:
             expected = counted_by_enumeration(basis, bounds, avoid)
             assert count_lattice_points(basis, bounds, avoid) == expected
 
+    @pytest.mark.parametrize("rows", HAND_MADE_BASES + LAST_LEVEL_BASES)
+    def test_many_avoid_vectors_match_enumeration(self, rows):
+        # 10-40 vectors per box, many live at the last level at once: the
+        # front kept per live set must drop only vectors that change no count
+        basis = IntegerMatrix(rows)
+        rng = random.Random(1618)
+        for _ in range(6):
+            bounds = tuple(rng.randint(3, 7) for _ in range(basis.ncols))
+            avoid = crowded_avoid(basis, bounds, rng, rng.randint(10, 40))
+            assert_every_limit_counts(basis, bounds, avoid)
+
+    @pytest.mark.parametrize("presentation", CORPUS_PRESENTATIONS, ids=lambda p: p.name)
+    def test_many_avoid_vectors_on_corpus_embeddings(self, presentation):
+        emb = full_embedding(build_context(presentation))
+        rng = random.Random(1618)
+        for q in (3, 5, 7):
+            bounds = (q - 1,) * emb.num_coordinates
+            avoid = crowded_avoid(emb.image_lattice, bounds, rng, rng.randint(10, 40))
+            assert_every_limit_counts(emb.image_lattice, bounds, avoid)
+
     def test_memo_freed_when_the_count_returns(self):
-        # rec refers to itself through its closure; if the memo waited for the
-        # cycle collector, repeated counts would hold several memos at once
+        # rec refers to itself through its closure; if the memo or the fronts
+        # waited for the cycle collector, repeated counts would hold several at once
         emb = full_embedding(build_context(segre_generators(2, 3)))
-        avoid = [tuple(12 * x for x in g) for g in emb.image_generators]
-        gc.collect()
-        gc.disable()
-        try:
-            count_lattice_points(emb.image_lattice, (23,) * emb.num_coordinates, avoid)
-            left = gc.collect()
-        finally:
-            gc.enable()
-        assert left < 100  # the closures and their cells; the memo held over 500 objects
+        scaled = [tuple(12 * x for x in g) for g in emb.image_generators]
+        # 110 generators, many of them live at the last level together
+        ideal = MonomialIdeal.not_dividing(socle_witness(emb), 1).minimal_generators(emb)
+        for bounds, avoid in (
+            ((23,) * emb.num_coordinates, scaled),
+            ([max(column) for column in zip(*ideal)], ideal),
+        ):
+            gc.collect()
+            gc.disable()
+            try:
+                count_lattice_points(emb.image_lattice, bounds, avoid)
+                left = gc.collect()
+            finally:
+                gc.enable()
+            # the closures and their cells; the memo held over 500 objects, the
+            # fronts of the second box over 800
+            assert left < 100
 
     def test_threads_count_what_a_serial_run_counts(self):
         emb = full_embedding(build_context(segre_generators(3, 3)))

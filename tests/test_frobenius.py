@@ -11,7 +11,7 @@ from fsig import frobenius
 from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
 from fsig.exact import count_lattice_points, express_in_basis, vadd, vscale, vsub
-from fsig.families import segre_generators, veronese_generators
+from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.frobenius import (
     MonomialIdeal,
     brute_force_aq,
@@ -354,6 +354,13 @@ class TestDifferenceIdentity:
     def test_segre(self):
         res = hk_difference_identity(emb_of(segre_generators(2, 2)), 1, 3)
         assert res.equal and res.rhs == 19
+
+    def test_segre_23_colengths(self):
+        # many Frobenius generators live at the last level at once; both
+        # colengths are the ones counted before the counter kept fronts
+        res = hk_difference_identity(emb_of(segre_generators(2, 3)), 1, 3)
+        assert (res.not_dividing, res.with_witness) == (285_101, 285_056)
+        assert res.lhs == res.rhs == segre_aq_closed_form(2, 3, 3) == 45
 
     def test_bad_parameters(self):
         emb = emb_of(FREE2)
