@@ -410,11 +410,13 @@ def count_lattice_points(
     there and the set of live avoid vectors, as rows k.. change and read no
     final coordinate.  Every level, the last included, is memoized on
     (k, live bitmask, open coordinates) in a dict local to the call; the
-    bitmask (one bit per avoid vector) is carried down the walk.  At the last
-    row a live vector holds on every final coordinate, so a vector at least
-    another on the open ones cuts a sub-interval of the other's: only the
-    front, the live vectors minimal there (one per value), is scored,
-    found once per live bitmask.
+    bitmask (one bit per avoid vector) is carried down the walk.  The loop
+    over the row before the last reads the last level's memo itself and
+    counts only on a miss; every loop steps the point by one addition of its
+    row per coefficient.  At the last row a live vector holds on every final
+    coordinate, so a vector at least another on the open ones cuts a
+    sub-interval of the other's: only the front, the live vectors minimal
+    there (one per value), is scored, found once per live bitmask.
 
     With limit set, counting stops once the running count passes it, and the
     returned number is then some count above limit: a memoized branch can
@@ -455,6 +457,7 @@ def count_lattice_points(
     # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
     # At the last row they are its pivot and final[d - 1], all that count_last reads.
     opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d)]
+    last_open = opened[-1]
     leaf = [last] + final[-1]
     memo: dict[tuple, int] = {}
     fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
@@ -497,19 +500,16 @@ def count_lattice_points(
         key = (k, bits, opened[k](point))
         if key in memo:
             return memo[key]
-        if k == d - 1:
-            if bits not in fronts:
-                fronts[bits] = front(live)
-            memo[key] = count = count_last(point, fronts[bits])
-            return count
         row, p, others = rows[k], pivots[k], final[k]
         step = row[p]
         # The pivot coordinate grows with c, so the vectors it passes are a
         # growing prefix of live sorted by their pivot entry.
         live = sorted(live, key=lambda item: item[0][p])
         passed, passed_bits, least_end, count = 0, 0, d, 0
-        for c in range(-(point[p] // step), (bounds[p] - point[p]) // step + 1):
-            moved = point[:p] + [a + c * s for a, s in zip(point[p:], row[p:])]
+        first = -(point[p] // step)  # moved is point + c*row, from one row below the first c
+        moved = [a + (first - 1) * s for a, s in zip(point, row)]
+        for _ in range(first, (bounds[p] - point[p]) // step + 1):
+            moved = list(map(add, moved, row))
             if others and not all(0 <= moved[j] <= bounds[j] for j in others):
                 continue
             while passed < len(live) and live[passed][0][p] <= moved[p]:
@@ -525,7 +525,16 @@ def count_lattice_points(
                     continue
             elif least_end <= k:
                 break  # some vector is dominated by every point of this and later branches
-            count += rec(k + 1, moved, kept, kept_bits, room - count)
+            if k + 2 < d:
+                count += rec(k + 1, moved, kept, kept_bits, room - count)
+            else:  # the last level, looked up here rather than in a call of its own
+                last_key = (d - 1, kept_bits, last_open(moved))
+                below = memo.get(last_key)
+                if below is None:
+                    if kept_bits not in fronts:
+                        fronts[kept_bits] = front(kept)
+                    memo[last_key] = below = count_last(moved, fronts[kept_bits])
+                count += below
             if count > room:
                 return count  # a partial count, never memoized
         memo[key] = count
@@ -533,6 +542,8 @@ def count_lattice_points(
 
     room = float("inf") if limit is None else limit
     try:
+        if d == 1:
+            return count_last([0] * ncols, front(live))
         return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
     finally:
         memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass

@@ -578,6 +578,24 @@ def assert_every_limit_counts(basis, bounds, avoid):
         assert counted > limit if full > limit else counted == full, (bounds, avoid, limit)
 
 
+@st.composite
+def hermite_boxes_with_avoid(draw):
+    """A Hermite box of rank 1-4 and avoid vectors near its points: each is a
+    box point moved by at most 1 per coordinate, or an earlier vector raised
+    by 0 or 1 per coordinate, so duplicates and dominating vectors occur."""
+    basis, bounds = draw(hermite_boxes().filter(lambda case: case[0].nrows))
+    points = list(lattice_points_in_box(basis, bounds))
+    avoid = []
+    for _ in range(draw(st.integers(0, 6))):
+        if avoid and draw(st.booleans()):
+            v = draw(st.sampled_from(avoid))
+            avoid.append(tuple(x + draw(st.integers(0, 1)) for x in v))
+        else:
+            u = draw(st.sampled_from(points))
+            avoid.append(tuple(x + draw(st.integers(-1, 1)) for x in u))
+    return basis, bounds, avoid
+
+
 class TestCountLatticePoints:
     @pytest.mark.parametrize("rows", HAND_MADE_BASES)
     def test_hand_made_bases_match_enumeration(self, rows):
@@ -724,6 +742,40 @@ class TestCountLatticePoints:
             avoid = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 3))]
             expected = counted_by_enumeration(basis, bounds, avoid)
             assert count_lattice_points(basis, bounds, avoid) == expected
+
+    @pytest.mark.parametrize(
+        "rows", [rows for rows in HAND_MADE_BASES if len(rows) == 2] + [LAST_LEVEL_BASES[0]]
+    )
+    def test_limit_stops_within_one_run_of_it(self, rows):
+        # On a rank-2 basis the loop over the first coefficient is the top
+        # call, and each count it adds is one prefix's run of the last
+        # coefficient, at most bounds[last] // step + 1 points: a limited
+        # count stops in the first run that carries it past the limit.
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        last = next(j for j, x in enumerate(rows[-1]) if x)
+        step = rows[-1][last]
+        rng = random.Random(4669)
+        for _ in range(6):
+            bounds = tuple(rng.randint(5, 12) for _ in range(basis.ncols))
+            run = bounds[last] // step + 1
+            for avoid in ([], crowded_avoid(basis, bounds, rng, rng.randint(10, 40))):
+                full = counted_by_enumeration(basis, bounds, avoid)
+                assert count_lattice_points(basis, bounds, avoid) == full
+                for limit in range(full):
+                    counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+                    assert limit < counted <= limit + run, (bounds, avoid, limit)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hermite_boxes_with_avoid())
+    # rank 1: no loop above the last level
+    @example((IntegerMatrix(((2, 1, -1),)), (4, 3, 2), [(2, 1, 0), (2, 1, 0), (3, 1, 0)]))
+    # rank 2: the top call is the loop over the row before the last
+    @example((IntegerMatrix(((1, 0, 2), (0, 2, -1))), (3, 4, 4), [(1, 2, 1), (1, 3, 1), (0, 0, 3)]))
+    def test_random_boxes_with_near_avoid_vectors(self, case):
+        basis, bounds, avoid = case
+        assert hermite_basis(basis) == basis
+        assert_every_limit_counts(basis, bounds, avoid)
 
     @pytest.mark.parametrize("rows", HAND_MADE_BASES + LAST_LEVEL_BASES)
     def test_many_avoid_vectors_match_enumeration(self, rows):
