@@ -19,6 +19,7 @@ against a basis in this form.  Box points are walked in runs: the first d-1
 coefficients pivot by pivot, the last over the interval the box cuts out.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -401,26 +402,28 @@ def count_lattice_points(
     coefficient fixed; then the box is checked there, an avoid vector the
     coordinate falls below is dropped, and the branch is empty once a
     surviving avoid vector has all its positive entries in final
-    coordinates.  The coordinates left open by the first d-1 coefficients are
-    affine in the last one, c, so the box cuts out one interval of c and
-    each surviving avoid vector another: the count is the box interval minus
-    the union of the avoid intervals.
+    coordinates.  The last row moves only the leaf, its pivot and the columns
+    it makes final, affinely in its coefficient c: the box cuts out one
+    interval of c and each surviving avoid vector another, and the count is
+    the box interval minus the union of the avoid intervals.  A vector at
+    least another on the leaf cuts a sub-interval of the other's, so only the
+    front, the live vectors minimal on the leaf, is scored, found once per
+    live bitmask (one bit per avoid vector, carried down the walk).
 
     The count below row k depends only on k, the coordinates still open
-    there and the set of live avoid vectors, as rows k.. change and read no
-    final coordinate.  Every level, the last included, is memoized on
-    (k, live bitmask, open coordinates) in a dict local to the call; the
-    bitmask (one bit per avoid vector) is carried down the walk.  The loop
-    over the row before the last reads the last level's memo itself and
-    counts only on a miss; every loop steps the point by one addition of its
-    row per coefficient.  At the last row a live vector holds on every final
-    coordinate, so a vector at least another on the open ones cuts a
-    sub-interval of the other's: only the front, the live vectors minimal
-    there (one per value), is scored, found once per live bitmask.
+    there and the live bitmask, as rows k.. change and read no final
+    coordinate: rows 0..d-2 are memoized on those in a dict local to the
+    call.  Row d-2 is swept, not looped: by the same floor divisions, each
+    live vector is kept on one interval of its coefficient, and between the
+    ends of those intervals the kept set is constant while the leaf moves
+    along one line, in steps of row d-2.  The last-level counts along each
+    (kept bitmask, line) are held as prefix sums, extended on demand either
+    way, so each last-level state is scored once and a run costs two lookups.
 
     With limit set, counting stops once the running count passes it, and the
     returned number is then some count above limit: a memoized branch can
-    carry it far past limit in one step.  A branch cut short is not memoized.
+    carry it far past limit in one step, and a run stops at its first
+    coefficient that passes it.  A branch cut short is not memoized.
     """
     bounds = [int(b) for b in bounds]
     ncols = len(bounds)
@@ -448,64 +451,140 @@ def count_lattice_points(
             live.append((v, end, 1 << len(live)))
     if d == 0:
         return 1
-    # The last coefficient c moves its pivot coordinate and the other columns
-    # of final[d - 1], by s_j each; split those by the sign of s_j.
-    last = pivots[-1]
-    step = rows[-1][last]
-    rising = [(j, rows[-1][j]) for j in final[-1] if rows[-1][j] > 0]
-    falling = [(j, -rows[-1][j]) for j in final[-1] if rows[-1][j] < 0]
-    # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
-    # At the last row they are its pivot and final[d - 1], all that count_last reads.
-    opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d)]
-    last_open = opened[-1]
-    leaf = [last] + final[-1]
-    memo: dict[tuple, int] = {}
+    # A row's coefficient c moves its pivot and the other columns of its final
+    # set by s_j each; cutter reads them at positions at(j), split by sign.
+    def cutter(k: int, top: Sequence[int], at=lambda j: j):
+        row, p = rows[k], pivots[k]
+        step, p = row[p], at(p)
+        rising = [(at(j), row[j]) for j in final[k] if row[j] > 0]
+        falling = [(at(j), -row[j]) for j in final[k] if row[j] < 0]
+
+        def cut(u, vectors) -> tuple[int, int, list]:
+            # [lo, hi], the c that keep u + c*row in the box on those columns,
+            # and per vector v the c from vlo (not cut to lo) to vhi with u + c*row >= v there
+            lo, hi = -(u[p] // step), (top[p] - u[p]) // step
+            for j, s in rising:
+                a, b = -(u[j] // s), (top[j] - u[j]) // s
+                lo, hi = a if a > lo else lo, b if b < hi else hi
+            for j, s in falling:
+                a, b = -((top[j] - u[j]) // s), u[j] // s
+                lo, hi = a if a > lo else lo, b if b < hi else hi
+            cuts = []
+            if lo <= hi:
+                for v in vectors:
+                    vlo, vhi = -((u[p] - v[p]) // step), hi
+                    for j, s in rising:
+                        a = -((u[j] - v[j]) // s)
+                        vlo = a if a > vlo else vlo
+                    for j, s in falling:
+                        b = (u[j] - v[j]) // s
+                        vhi = b if b < vhi else vhi
+                    cuts.append((vlo, vhi))
+            return lo, hi, cuts
+
+        return cut
+
+    leaf = [pivots[-1]] + final[-1]  # the last level reads points and vectors on leaf
+    cut_last = cutter(d - 1, [bounds[j] for j in leaf], leaf.index)
+    memo: dict[tuple, int] = {}  # (k < d - 1, live bitmask, open coordinates) -> count below
     fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
+    lines: dict[tuple, tuple] = {}  # (kept bitmask, line base) -> prefix sums along the line
 
     def front(live) -> list:
         # sorted on leaf, a vector comes after every vector below it there
-        minimal: dict[tuple, tuple] = {}
-        for u, item in sorted((tuple(item[0][j] for j in leaf), item) for item in live):
+        minimal: list = []
+        for u in sorted({tuple(v[j] for j in leaf) for v, _, _ in live}):
             if not any(all(map(le, w, u)) for w in minimal):
-                minimal[u] = item
-        return list(minimal.values())
+                minimal.append(u)
+        return minimal
 
-    def count_last(point: list[int], live) -> int:
-        lo, hi = -(point[last] // step), (bounds[last] - point[last]) // step
-        for j, s in rising:
-            lo, hi = max(lo, -(point[j] // s)), min(hi, (bounds[j] - point[j]) // s)
-        for j, s in falling:
-            lo, hi = max(lo, -((bounds[j] - point[j]) // s)), min(hi, point[j] // s)
+    def count_last(u: tuple, front: list) -> int:
+        lo, hi, cuts = cut_last(u, front)
         if lo > hi:
             return 0
-        if not live:
-            return hi - lo + 1
-        cuts = []  # per live v, the c in [lo, hi] whose point dominates v
-        for v, _, _ in live:
-            vlo, vhi = max(lo, -((point[last] - v[last]) // step)), hi
-            for j, s in rising:
-                vlo = max(vlo, -((point[j] - v[j]) // s))
-            for j, s in falling:
-                vhi = min(vhi, (point[j] - v[j]) // s)
-            if vlo <= vhi:
-                cuts.append((vlo, vhi))
         covered, reach = 0, lo - 1
         for vlo, vhi in sorted(cuts):
-            if vhi > reach:
-                covered += vhi - max(vlo, reach + 1) + 1
+            if vlo <= vhi and vhi > reach:
+                covered += vhi - (vlo if vlo > reach else reach + 1) + 1
                 reach = vhi
         return hi - lo + 1 - covered
+
+    if d == 1:
+        return count_last((0,) * len(leaf), front(live))
+    # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
+    opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d - 1)]
+    cut_row = cutter(d - 2, bounds)
+    # Row d - 2 moves the leaf by delta.  A line of leaf points base + m*delta
+    # is keyed by its base, whose entry at lead, the first nonzero of delta,
+    # lies in [0, delta[lead]) (in (delta[lead], 0] for a negative one).
+    delta = [rows[d - 2][j] for j in leaf]
+    lead = next((i for i, s in enumerate(delta) if s), None)
+
+    def run(bits: int, live, base: tuple, ma: int, mb: int, room) -> int:
+        """The last-level count of the kept set bits summed over the line's
+        points ma <= m < mb, or its first partial sum past room."""
+        vectors = fronts.get(bits)
+        if vectors is None:
+            vectors = fronts[bits] = front([item for item in live if item[2] & bits])
+        table = lines.get((bits, base))
+        if table is None:  # the one state of a line with delta 0, or empty sums from ma
+            table = count_last(base, vectors) if lead is None else (ma, [0], [0])
+            lines[bits, base] = table
+        if lead is None:  # m points of the one state
+            sums = table.__mul__
+        else:
+            # right[i] sums the points m0 <= m < m0 + i, left[i] those m0 - i <= m < m0
+            m0, right, left = table
+            for m in range(m0 + len(right) - 1, mb):
+                u = tuple(x + m * s for x, s in zip(base, delta))
+                right.append(right[-1] + count_last(u, vectors))
+            for m in range(m0 - len(left), ma - 1, -1):
+                u = tuple(x + m * s for x, s in zip(base, delta))
+                left.append(left[-1] + count_last(u, vectors))
+
+            def sums(m: int) -> int:  # the points m0 <= . < m, negated for m < m0
+                return right[m - m0] if m >= m0 else -left[m0 - m]
+
+        first = sums(ma)
+        total = sums(mb) - first
+        if total > room:
+            m = bisect_right(range(ma + 1, mb + 1), room + first, key=sums)
+            return sums(ma + 1 + m) - first
+        return total
 
     def rec(k: int, point: list[int], live, bits: int, room) -> int:
         key = (k, bits, opened[k](point))
         if key in memo:
             return memo[key]
+        count = 0
+        if k == d - 2:
+            # Each live vector is kept on one interval of c; between the ends
+            # of those intervals the kept set is constant, and the leaf is at
+            # base + (c + shift)*delta: each run of c is read from that line.
+            lo, hi, cuts = cut_row(point, [item[0] for item in live])
+            ends = [(hi + 1, 0, 0)]
+            for (vlo, vhi), (_, end, bit) in zip(cuts, live):
+                if vlo <= vhi:  # a vector with end <= k blocks every point of its interval
+                    ends.append((vlo, bit, end <= k))
+                    if vhi < hi:
+                        ends.append((vhi + 1, bit, -(end <= k)))
+            shift = 0 if lead is None else point[leaf[lead]] // delta[lead]
+            base = tuple(point[j] - shift * s for j, s in zip(leaf, delta))
+            kept = blocked = 0
+            for c, bit, block in sorted(ends):
+                if lo < c and not blocked:
+                    count += run(kept, live, base, lo + shift, c + shift, room - count)
+                    if count > room:
+                        return count  # a partial count, never memoized
+                lo, kept, blocked = c if c > lo else lo, kept ^ bit, blocked + block
+            memo[key] = count
+            return count
         row, p, others = rows[k], pivots[k], final[k]
         step = row[p]
         # The pivot coordinate grows with c, so the vectors it passes are a
         # growing prefix of live sorted by their pivot entry.
         live = sorted(live, key=lambda item: item[0][p])
-        passed, passed_bits, least_end, count = 0, 0, d, 0
+        passed, passed_bits, least_end = 0, 0, d
         first = -(point[p] // step)  # moved is point + c*row, from one row below the first c
         moved = [a + (first - 1) * s for a, s in zip(point, row)]
         for _ in range(first, (bounds[p] - point[p]) // step + 1):
@@ -525,16 +604,7 @@ def count_lattice_points(
                     continue
             elif least_end <= k:
                 break  # some vector is dominated by every point of this and later branches
-            if k + 2 < d:
-                count += rec(k + 1, moved, kept, kept_bits, room - count)
-            else:  # the last level, looked up here rather than in a call of its own
-                last_key = (d - 1, kept_bits, last_open(moved))
-                below = memo.get(last_key)
-                if below is None:
-                    if kept_bits not in fronts:
-                        fronts[kept_bits] = front(kept)
-                    memo[last_key] = below = count_last(moved, fronts[kept_bits])
-                count += below
+            count += rec(k + 1, moved, kept, kept_bits, room - count)
             if count > room:
                 return count  # a partial count, never memoized
         memo[key] = count
@@ -542,9 +612,8 @@ def count_lattice_points(
 
     room = float("inf") if limit is None else limit
     try:
-        if d == 1:
-            return count_last([0] * ncols, front(live))
         return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
     finally:
         memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass
         fronts.clear()
+        lines.clear()

@@ -148,15 +148,20 @@ class MonomialIdeal:
         For a bound t*mu the minimal generators are the minimal semigroup
         elements u with u not componentwise below t*mu; each such element is
         the sum of a generator image and an element below t*mu, which bounds
-        the search box.
+        the search box.  A box point u >= g, for a generator image g, with
+        u - g not below t*mu is skipped: u - g is then a box point too, and
+        below u.
         """
         n = emb.num_coordinates
         candidates: list[Vector] = []
         gamma = [max(g[j] for g in emb.image_generators) for j in range(n)]
         for tmu in self.bounds:
-            for u in lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma)):
-                if any(u) and not _leq(u, tmu):
-                    candidates.append(u)
+            box = lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma))
+            box = [u for u in box if any(u) and not _leq(u, tmu)]
+            for g in emb.image_generators:  # u - g is below t*mu iff u is below t*mu + g
+                top = vadd(tmu, g)
+                box = [u for u in box if not _leq(g, u) or _leq(u, top)]
+            candidates += box
         for u in self.generators:
             if len(u) != n:
                 raise ValueError(f"generator {u} has wrong length")

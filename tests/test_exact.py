@@ -2,7 +2,9 @@
 
 import gc
 import itertools
+import operator
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -521,6 +523,23 @@ LAST_LEVEL_BASES = (
     ((1, 0, 0, 1, 2, 0), (0, 1, 0, 1, 1, 0), (0, 0, 1, 0, -2, 1)),
 )
 
+# Hermite bases for the sweep of the row before the last.  That row makes a
+# column final with a negative entry, which an earlier row raises, so avoid
+# vectors leave the kept set inside the coefficient's range (first, last);
+# or it moves the leaf (the last pivot and the columns the last row makes
+# final) by delta = 0 (second), or by a delta whose first nonzero entry is
+# negative (third, fourth) or above 1 (fifth).  In the last four the first
+# row moves the leaf by -delta or 0, so later prefixes read lines that
+# earlier ones began, further down.
+SWEEP_BASES = (
+    ((1, 0, 2, 0, 0), (0, 1, -1, 0, 1), (0, 0, 0, 1, 1)),
+    ((1, 0, 1, 0, 0), (0, 1, -1, 0, 0), (0, 0, 0, 1, 2)),
+    ((1, 0, -2), (0, 1, 1)),
+    ((1, 0, 0, 1, -2), (0, 1, 0, -1, 2), (0, 0, 1, 1, 1)),
+    ((1, 0, 0, -2, 1), (0, 1, 0, 2, -1), (0, 0, 1, 1, 1)),
+    ((1, 0, 1, 0, -1, 0), (0, 1, -1, 0, 1, 0), (0, 0, 0, 1, 1, 1)),
+)
+
 # Rank-1 bases: the only level is the last; zero columns are never moved.
 RANK_ONE_BASES = (((1,),), ((2, 1, 0, 3),), ((0, 2, 0, 1, 3),), ((3, 1, -2),))
 
@@ -772,10 +791,74 @@ class TestCountLatticePoints:
     @example((IntegerMatrix(((2, 1, -1),)), (4, 3, 2), [(2, 1, 0), (2, 1, 0), (3, 1, 0)]))
     # rank 2: the top call is the loop over the row before the last
     @example((IntegerMatrix(((1, 0, 2), (0, 2, -1))), (3, 4, 4), [(1, 2, 1), (1, 3, 1), (0, 0, 3)]))
+    # the sweep bases: vectors leaving the kept set inside the range, delta 0,
+    # a negative lead, lines revisited further down, a lead above 1, and all at once
+    @example(
+        (
+            IntegerMatrix(SWEEP_BASES[0]),
+            (3, 4, 3, 1, 1),
+            [(0, 0, 2, 1, 0), (1, 1, 3, 2, 0), (2, 2, 4, 2, 0), (1, 0, 2, 0, 2), (2, 1, 2, 1, 0)],
+        )
+    )
+    @example((IntegerMatrix(SWEEP_BASES[1]), (2, 3, 3, 3, 2), [(1, 1, 1, 0, 1)]))
+    @example((IntegerMatrix(SWEEP_BASES[2]), (1, 3, 3), [(-1, 2, 4), (1, 3, 0)]))
+    @example(
+        (
+            IntegerMatrix(SWEEP_BASES[3]),
+            (2, 3, 2, 3, 4),
+            [(1, 2, 1, 2, 2), (2, 2, 2, 3, 3), (-1, 1, 2, 1, 0)],
+        )
+    )
+    @example((IntegerMatrix(SWEEP_BASES[4]), (4, 1, 3, 4, 3), [(0, 1, 1, 1, 2), (0, 1, 2, 3, 0)]))
+    @example(
+        (
+            IntegerMatrix(SWEEP_BASES[5]),
+            (3, 2, 4, 2, 1, 4),
+            [
+                (2, 0, 2, 1, -1, 1),
+                (2, 1, 1, 0, 0, 1),
+                (0, 0, 2, 1, 1, 1),
+                (-1, 1, 1, -1, 1, -1),
+                (1, 0, 3, 1, 1, 2),
+            ],
+        )
+    )
     def test_random_boxes_with_near_avoid_vectors(self, case):
         basis, bounds, avoid = case
         assert hermite_basis(basis) == basis
         assert_every_limit_counts(basis, bounds, avoid)
+
+    @pytest.mark.parametrize("rows", SWEEP_BASES)
+    def test_sweep_bases_at_every_limit(self, rows):
+        basis = IntegerMatrix(rows)
+        assert hermite_basis(basis) == basis
+        rng = random.Random(2236)
+        for _ in range(6):
+            bounds = tuple(rng.randint(3, 7) for _ in range(basis.ncols))
+            avoid = crowded_avoid(basis, bounds, rng, rng.randint(10, 40))
+            assert_every_limit_counts(basis, bounds, avoid)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [rows for rows in HAND_MADE_BASES + LAST_LEVEL_BASES + SWEEP_BASES if len(rows) == 2],
+    )
+    def test_limited_count_on_rank_two_is_the_first_run_total_past_the_limit(self, rows):
+        # The top call sweeps the first coefficient c, and a limited count
+        # stops at the first c whose run of points takes it past the limit.
+        basis = IntegerMatrix(rows)
+        rng = random.Random(1732)
+        for _ in range(6):
+            bounds = tuple(rng.randint(3, 9) for _ in range(basis.ncols))
+            for avoid in ([], crowded_avoid(basis, bounds, rng, rng.randint(3, 20))):
+                runs = Counter(
+                    express_in_basis(u, basis)[0]
+                    for u in lattice_points_in_box(basis, bounds)
+                    if not any(all(map(operator.ge, u, v)) for v in avoid)
+                )
+                totals = list(itertools.accumulate(runs[c] for c in sorted(runs)))
+                for limit in range(totals[-1] if totals else 0):
+                    counted = count_lattice_points(basis, bounds, avoid, limit=limit)
+                    assert counted == min(t for t in totals if t > limit), (bounds, avoid, limit)
 
     @pytest.mark.parametrize("rows", HAND_MADE_BASES + LAST_LEVEL_BASES)
     def test_many_avoid_vectors_match_enumeration(self, rows):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from fsig import frobenius
 from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
-from fsig.exact import count_lattice_points, express_in_basis, vadd, vscale, vsub
+from fsig.exact import (
+    count_lattice_points,
+    express_in_basis,
+    lattice_points_in_box,
+    vadd,
+    vscale,
+    vsub,
+)
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.frobenius import (
     MonomialIdeal,
@@ -225,6 +233,34 @@ class TestMonomialIdeal:
         emb = emb_of(FREE1)
         ideal = MonomialIdeal.not_dividing((1,), 1) + MonomialIdeal.generated_by([(1,)])
         assert ideal.minimal_generators(emb) == ((1,),)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize(
+        "presentation",
+        [
+            FREE2,
+            veronese_generators(2, 2),
+            veronese_generators(3, 2),
+            veronese_generators(2, 4),
+            segre_generators(2, 2),
+            segre_generators(2, 3),
+            SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)), name="non-normal"),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_skipped_box_points_leave_the_minimal_generators(self, presentation, t):
+        # every point of the search box outside [0, t*mu], none skipped
+        emb = emb_of(presentation)
+        mu = socle_witness(emb)
+        tmu = vscale(t, mu)
+        gamma = [max(column) for column in zip(*emb.image_generators)]
+        candidates = [
+            u
+            for u in lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma))
+            if any(u) and not all(map(le, u, tmu))
+        ]
+        expected = frobenius._minimalize(candidates)
+        assert MonomialIdeal.not_dividing(mu, t).minimal_generators(emb) == expected
 
     def test_explicit_generator_validation(self):
         emb = emb_of(veronese_generators(2, 2))
