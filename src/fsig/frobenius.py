@@ -15,20 +15,26 @@ of a normal input and the normalization of any other.
 q is accepted as any positive integer, not only a prime power: everything
 computed here is lattice combinatorics, and the identities it verifies hold
 verbatim for every q.
+
+The closure oracle and the minimal-generator search pack a point of N^n
+into one int (_pack): field j, w bits wide, holds coordinate j, and its top
+bit is a guard bit.  Each sum or difference they form stays in [0, 2^w) per
+field, so no carry crosses a field, one int op acts componentwise, and the
+guard bits answer a bound test for every coordinate at once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index, le
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
 from .errors import BudgetExceeded, NotPrimary
 from .exact import (
     Vector,
+    _lattice_runs,
     count_lattice_points,
     express_in_basis,
-    lattice_points_in_box,
     vadd,
     vscale,
 )
@@ -65,20 +71,28 @@ def brute_force_aq(
     Starts from 0, repeatedly adds generators, keeps the sums whose image
     under the embedding stays inside [0, q-1]^n, and counts the distinct
     image points reached.  Never consults the lattice enumeration.
+
+    Packed, field j is p_j + 2^(w-1) - q with w = q.bit_length() + 1, so p_j
+    in [0, q-1] fills exactly the values below the guard bit 2^(w-1).  Generators
+    with an entry >= q are dropped; any other added to a point in the box gives
+    fields below 2^(w-1) + q - 1 < 2^w, so no carry crosses a field, and the sum
+    left the box exactly when one of its guard bits is set.
     """
     q = index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     emb = full_embedding(build_context(presentation))
-    images = emb.image_generators
-    zero = (0,) * emb.num_coordinates
+    n, width = emb.num_coordinates, q.bit_length() + 1
+    high = _pack([1 << width - 1] * n, width)
+    steps = [_pack(g, width) for g in emb.image_generators if max(g) < q]
+    zero = _pack([(1 << width - 1) - q] * n, width)
     seen = {zero}
     frontier = [zero]
     while frontier:
         point = frontier.pop()
-        for g in images:
-            nxt = tuple(map(add, point, g))
-            if nxt in seen or max(nxt) >= q:
+        for g in steps:
+            nxt = point + g
+            if nxt & high or nxt in seen:
                 continue
             seen.add(nxt)
             if len(seen) > budget:
@@ -151,17 +165,36 @@ class MonomialIdeal:
         the search box.  A box point u >= g, for a generator image g, with
         u - g not below t*mu is skipped: u - g is then a box point too, and
         below u.
+
+        The box is walked by the runs of exact._lattice_runs, a packed point
+        stepping by the packed last Hermite row.  Fields are w = b.bit_length()
+        + 1 bits for the largest bound b, so every entry of a box point stays
+        below the guard bit 2^(w-1), negative steps included.  Then u <= v is
+        ((v | guard) - u) & guard == guard: field j of the difference is
+        2^(w-1) + v_j - u_j in [1, 2^w), so no borrow crosses a field, and its
+        guard bit is set exactly when u_j <= v_j.  Only kept points are unpacked.
         """
-        n = emb.num_coordinates
+        n, images = emb.num_coordinates, emb.image_generators
         candidates: list[Vector] = []
-        gamma = [max(g[j] for g in emb.image_generators) for j in range(n)]
+        gamma = [max(g[j] for g in images) for j in range(n)]
+        last = emb.image_lattice.rows[-1]
         for tmu in self.bounds:
-            box = lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma))
-            box = [u for u in box if any(u) and not _leq(u, tmu)]
-            for g in emb.image_generators:  # u - g is below t*mu iff u is below t*mu + g
-                top = vadd(tmu, g)
-                box = [u for u in box if not _leq(g, u) or _leq(u, top)]
-            candidates += box
+            bounds = vadd(tmu, gamma)
+            width = max(bounds).bit_length() + 1
+            guard, mask = _pack([1 << width - 1] * n, width), (1 << width) - 1
+            top, step = _pack(tmu, width) | guard, _pack(last, width)
+            # (guard - g) + u keeps every guard bit iff g <= u; u - g <= t*mu iff u <= t*mu + g
+            pairs = [(guard - _pack(g, width), _pack(vadd(tmu, g), width) | guard) for g in images]
+            for point, lo, hi in _lattice_runs(emb.image_lattice, list(bounds)):
+                first = _pack(vadd(point, vscale(lo, last)), width)
+                for u in range(first, first + (hi - lo + 1) * step, step):
+                    if (top - u) & guard == guard:  # u <= t*mu, u = 0 included
+                        continue
+                    for g, v in pairs:
+                        if (g + u) & guard == guard and (v - u) & guard != guard:
+                            break
+                    else:
+                        candidates.append(tuple(u >> j * width & mask for j in range(n)))
         for u in self.generators:
             if len(u) != n:
                 raise ValueError(f"generator {u} has wrong length")
@@ -171,16 +204,23 @@ class MonomialIdeal:
         return _minimalize(candidates)
 
 
-def _leq(u: Vector, v: Vector) -> bool:
-    return all(map(le, u, v))
+def _pack(vector: Sequence[int], width: int) -> int:
+    """vector[j] in field j of a width-bit-per-field int: sum of vector[j] << j*width."""
+    return sum(x << j * width for j, x in enumerate(vector))
 
 
 def _minimalize(vectors: list[Vector]) -> tuple[Vector, ...]:
-    kept: list[Vector] = []
+    """The componentwise-minimal vectors, by (sum, vector), compared packed."""
+    if not vectors:
+        return ()
+    width = max(map(max, vectors)).bit_length() + 1
+    guard = _pack([1 << width - 1] * len(vectors[0]), width)
+    kept: dict[int, Vector] = {}  # packed vector -> vector
     for v in sorted(set(vectors), key=lambda u: (sum(u), u)):
-        if not any(_leq(w, v) for w in kept):
-            kept.append(v)
-    return tuple(kept)
+        top = _pack(v, width) | guard
+        if not any((top - w) & guard == guard for w in kept):
+            kept[top ^ guard] = v
+    return tuple(kept.values())
 
 
 def hk_colength(

@@ -2,10 +2,19 @@
 
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import mul
+from operator import le, mul
 from typing import Sequence
 
-from fsig.exact import Vector, determinant, lattice_points_in_box, rational_determinant, vsub
+from fsig.cone import full_embedding
+from fsig.exact import (
+    Vector,
+    determinant,
+    lattice_points_in_box,
+    rational_determinant,
+    vadd,
+    vsub,
+)
+from fsig.semigroup import build_context
 from fsig.signature import _facets, _pulled, _tight_sets
 
 
@@ -51,6 +60,35 @@ def counted_by_enumeration(basis, bounds, avoid=()) -> int:
         for u in lattice_points_in_box(basis, bounds)
         if not any(all(a >= b for a, b in zip(u, v)) for v in avoid)
     )
+
+
+def closure_aq(presentation, q: int) -> int:
+    """Oracle for brute_force_aq: the same closure from 0, on tuples.
+
+    Adds generator images while every coordinate stays below q and counts the
+    distinct points reached; nothing is packed and no generator is dropped.
+    """
+    images = full_embedding(build_context(presentation)).image_generators
+    zero = (0,) * len(images[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        point = frontier.pop()
+        for g in images:
+            nxt = vadd(point, g)
+            if nxt not in seen and max(nxt) < q:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
+def minimal_elements(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
+    """Oracle for frobenius._minimalize: the componentwise-minimal vectors, by (sum, vector)."""
+    kept: list[Vector] = []
+    for v in sorted(set(vectors), key=lambda u: (sum(u), u)):
+        if not any(all(map(le, w, v)) for w in kept):
+            kept.append(v)
+    return tuple(kept)
 
 
 def fraction_tight_sets(half_spaces, vertices) -> set[int]:

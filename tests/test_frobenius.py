@@ -5,10 +5,10 @@ from functools import cache
 from operator import le
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsig import frobenius
+from fsig import exact, frobenius
 from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
 from fsig.exact import (
@@ -29,11 +29,17 @@ from fsig.frobenius import (
     socle_witness,
 )
 from fsig.semigroup import SemigroupPresentation, build_context
-from oracles import counted_by_enumeration
+from oracles import closure_aq, counted_by_enumeration, minimal_elements
 
 FREE1 = SemigroupPresentation(1, ((1,),), name="free(1)")
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 FREE3 = SemigroupPresentation(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="free(3)")
+NON_NORMAL = SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)), name="non-normal")
+# rank 3 with five facets: the last Hermite row of the image lattice is (0, 0, 1, -5, -4),
+# and at t = 1 the largest box bound is 32
+NEGATIVE_LAST_ROW = SemigroupPresentation(
+    3, ((0, 1, 2), (0, 3, 2), (1, 0, 3), (3, 1, 3), (3, 3, 3)), name="negative last row"
+)
 SMALL_NORMAL = (
     FREE1,
     FREE2,
@@ -177,6 +183,30 @@ class TestBruteForceAq:
             for q in range(1, 5):
                 assert brute_force_aq(p, q) == count_aq(emb, q).a_q
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_presentations(), st.sampled_from((1, 2, 3, 4, 7, 8, 9, 15, 16, 17)))
+    # each has a generator image with an entry >= q
+    @example(veronese_generators(2, 2), 2)
+    @example(veronese_generators(3, 2), 1)
+    @example(segre_generators(2, 2), 1)
+    @example(NON_NORMAL, 2)
+    @example(NEGATIVE_LAST_ROW, 3)
+    @example(NEGATIVE_LAST_ROW, 4)
+    def test_packed_closure_matches_tuple_closure(self, presentation, q):
+        # q at both ends of the field widths 3 to 5 bits (q.bit_length() + 1), and past them
+        assert brute_force_aq(presentation, q) == closure_aq(presentation, q)
+
+    def test_closure_walks_no_lattice(self, monkeypatch):
+        expected = [closure_aq(p, 5) for p in (segre_generators(2, 2), NON_NORMAL)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closure oracle walked the lattice")
+
+        for module in (exact, frobenius):
+            for name in ("count_lattice_points", "_lattice_runs", "lattice_points_in_box"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert [brute_force_aq(p, 5) for p in (segre_generators(2, 2), NON_NORMAL)] == expected
+
 
 class TestSocleWitness:
     @pytest.mark.parametrize(
@@ -244,7 +274,7 @@ class TestMonomialIdeal:
             veronese_generators(2, 4),
             segre_generators(2, 2),
             segre_generators(2, 3),
-            SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)), name="non-normal"),
+            NON_NORMAL,
         ],
         ids=lambda p: p.name,
     )
@@ -259,7 +289,30 @@ class TestMonomialIdeal:
             for u in lattice_points_in_box(emb.image_lattice, vadd(tmu, gamma))
             if any(u) and not all(map(le, u, tmu))
         ]
-        expected = frobenius._minimalize(candidates)
+        expected = minimal_elements(candidates)
+        assert MonomialIdeal.not_dividing(mu, t).minimal_generators(emb) == expected
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_presentations(), st.integers(1, 3))
+    @example(FREE1, 3)  # largest bound 4
+    @example(veronese_generators(2, 2), 2)  # largest bound 8
+    @example(segre_generators(2, 2), 3)  # largest bound 16
+    @example(NON_NORMAL, 1)
+    @example(NEGATIVE_LAST_ROW, 1)  # largest bound 32
+    def test_packed_search_matches_tuple_search(self, presentation, t):
+        # the tuple search: box points, the same two filters, minimal elements
+        emb = emb_of(presentation)
+        mu = socle_witness(emb)
+        tmu, images = vscale(t, mu), emb.image_generators
+        box = vadd(tmu, [max(column) for column in zip(*images)])
+        assume(count_lattice_points(emb.image_lattice, box) <= 5_000)  # bounds the reference
+        candidates = [
+            u
+            for u in lattice_points_in_box(emb.image_lattice, box)
+            if not all(map(le, u, tmu))
+            and all(not all(map(le, g, u)) or all(map(le, u, vadd(tmu, g))) for g in images)
+        ]
+        expected = minimal_elements(candidates)
         assert MonomialIdeal.not_dividing(mu, t).minimal_generators(emb) == expected
 
     def test_explicit_generator_validation(self):
