@@ -15,7 +15,8 @@ prints them: aligned text by default, a machine-readable JSON document with
 of rows.  Rationals are always rendered exactly as "p/q" (signature, aq and
 family add a clearly labeled decimal field with --approx).  Exit codes:
 0 success, 1 selftest failure, 2 parse error, 3 precondition violation,
-4 budget exceeded.
+4 budget exceeded.  Each subcommand imports the layers it runs inside its
+handler, so a process loads no layer its command does not use.
 """
 
 import argparse
@@ -23,12 +24,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import families
 from .cone import full_embedding
 from .errors import BudgetError, ParseError, PreconditionError
-from .frobenius import count_aq, hk_difference_identity
 from .semigroup import SemigroupPresentation, build_context, check_normal
-from .signature import f_signature
 
 FORMAT_VERSION = 1
 
@@ -131,6 +129,8 @@ def _report(args, fields, presentation=None, lines=None) -> None:
 
 
 def cmd_signature(args) -> int:
+    from .signature import f_signature
+
     presentation = load_document(args.file)
     result = f_signature(presentation)
     fields = [
@@ -190,6 +190,8 @@ def _parse_q_list(args) -> list[int]:
 
 
 def cmd_aq(args) -> int:
+    from .frobenius import count_aq
+
     qs = _parse_q_list(args)
     presentation = load_document(args.file)
     emb = full_embedding(build_context(presentation))
@@ -210,6 +212,8 @@ def cmd_aq(args) -> int:
 
 
 def cmd_hk(args) -> int:
+    from .frobenius import hk_difference_identity
+
     if args.t < 1 or args.q < 1:
         raise ParseError("--t and --q must be positive integers")
     if args.budget < 1:
@@ -232,6 +236,9 @@ def cmd_hk(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import families
+    from .signature import f_signature
+
     if args.kind == "segre":
         presentation = families.segre_generators(args.p1, args.p2)
         closed = families.segre_signature(args.p1, args.p2)
@@ -283,9 +290,10 @@ def cmd_check_normal(args) -> int:
 
 
 def _selftest_checks():
+    from . import families
     from .exact import IntegerMatrix, determinant, express_in_basis, hermite_basis
-    from .frobenius import brute_force_aq
-    from .signature import _walk_volume, polytope_volume, signature_polytope
+    from .frobenius import brute_force_aq, count_aq, hk_difference_identity
+    from .signature import _walk_volume, f_signature, polytope_volume, signature_polytope
 
     free2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
     veronese22 = families.veronese_generators(2, 2)

@@ -23,11 +23,11 @@ The facet list is the irredundant (minimal) one, ordered lexicographically
 by primitive ambient ray so that all downstream output is deterministic.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .exact import (
     IntegerMatrix,
@@ -123,8 +123,12 @@ def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector]]:
     return sorted(facets)
 
 
-@dataclass(frozen=True)
-class FacetFunctional:
+class FacetFunctional(
+    NamedTuple(
+        "FacetFunctional",
+        [("ray", Vector), ("denominator", int), ("values_on_generators", tuple[int, ...])],
+    )
+):
     """A facet-defining linear functional, scaled to be primitive.
 
     In ambient coordinates it is ray / denominator, a primitive integer ray
@@ -132,39 +136,42 @@ class FacetFunctional:
     presentation's generators, always nonnegative integers with gcd 1.
     """
 
-    ray: Vector
-    denominator: int
-    values_on_generators: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = self.values_on_generators
+    def __new__(cls, ray, denominator, values_on_generators):
+        vals = values_on_generators
         if any(v < 0 for v in vals):
             raise ValueError("facet functional is negative on a generator")
         if not any(vals):
             raise ValueError("functional vanishes on every generator")
         if gcd(*vals) != 1:
             raise ValueError("facet values are not coprime; functional not primitive")
+        return super().__new__(cls, ray, denominator, vals)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:  # for display
         return tuple(Fraction(x, self.denominator) for x in self.ray)
 
 
-@dataclass(frozen=True)
-class FullEmbedding:
+class FullEmbedding(
+    NamedTuple(
+        "FullEmbedding",
+        [
+            ("functionals", tuple[FacetFunctional, ...]),
+            ("matrix_T", IntegerMatrix),
+            ("image_generators", tuple[Vector, ...]),
+            ("rank", int),
+        ],
+    )
+):
     """The stacked facet functionals T, mapping the semigroup into N^n.
 
     matrix_T holds the functionals in lattice coordinates (n rows, rank
     columns); image_generators are the generator images, in presentation
     order; image_lattice is a Hermite basis of the group generated by the
     image, as a sublattice of Z^n, built on first read: only the counting
-    code reads it.
+    code reads it, and the instance dict (no __slots__) holds it.
     """
-
-    functionals: tuple[FacetFunctional, ...]
-    matrix_T: IntegerMatrix
-    image_generators: tuple[Vector, ...]
-    rank: int
 
     @property
     def num_coordinates(self) -> int:

@@ -7,10 +7,10 @@ reduces to counting lattice points.  The same comparison drives the
 colength counts: a monomial lies in a monomial ideal exactly when it
 componentwise dominates q times one of the ideal's minimal generators, so a
 colength is the number of image-group points in N^n that dominate none of
-them.  Both come from exact.count_lattice_points, which enumerates no point
-and counts the coefficient prefixes that share an open state once.  Like
-f_signature, both count the image group inside N^n, which is the semigroup
-of a normal input and the normalization of any other.
+them.  Both come from count_lattice_points, at the end of this module, which
+enumerates no point and counts the coefficient prefixes that share an open
+state once.  Like f_signature, both count the image group inside N^n, which
+is the semigroup of a normal input and the normalization of any other.
 
 q is accepted as any positive integer, not only a prime power: everything
 computed here is lattice combinatorics, and the identities it verifies hold
@@ -23,17 +23,18 @@ field, so no carry crosses a field, one int op acts componentwise, and the
 guard bits answer a bound test for every coordinate at once.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
-from operator import index
+from operator import add, index, itemgetter, le
 from typing import NamedTuple, Sequence
 
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
 from .errors import BudgetExceeded, NotPrimary
 from .exact import (
+    IntegerMatrix,
     Vector,
     _lattice_runs,
-    count_lattice_points,
+    _pivot_columns,
     express_in_basis,
     vadd,
     vscale,
@@ -41,8 +42,7 @@ from .exact import (
 from .semigroup import SemigroupPresentation, build_context
 
 
-@dataclass(frozen=True)
-class FrobeniusCount:
+class FrobeniusCount(NamedTuple):
     """One row of the free-rank table: q, a_q, and the ratio a_q / q^rank."""
 
     q: int
@@ -126,8 +126,7 @@ def socle_witness(emb: FullEmbedding) -> Vector:
     return mu
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial (semigroup) ideal, as two generator tuples.
 
     bounds holds t*mu for each not-dividing summand, whose generators are the
@@ -312,3 +311,235 @@ def hk_difference_identity(
     with_witness = _colength(emb, enlarged, q, budget)
     lhs, rhs = not_dividing - with_witness, count_aq(emb, q).a_q
     return HKIdentity(lhs, rhs, lhs == rhs, mu, not_dividing, with_witness)
+
+
+def count_lattice_points(
+    basis: IntegerMatrix,
+    bounds: Sequence[int],
+    avoid: Sequence[Sequence[int]] = (),
+    limit: int | None = None,
+) -> int:
+    """Number of row-lattice points in prod [0, bounds[j]] dominating no avoid vector.
+
+    A point dominates v when it is componentwise at least v.  The basis must
+    be in Hermite form.  The first d-1 coefficients are iterated pivot by
+    pivot, pruned by the box as in exact._lattice_runs.  Coordinate j is
+    final once the last row with a nonzero entry in column j has its
+    coefficient fixed; then the box is checked there, an avoid vector the
+    coordinate falls below is dropped, and the branch is empty once a
+    surviving avoid vector has all its positive entries in final
+    coordinates.  The last row moves only the leaf, its pivot and the columns
+    it makes final, affinely in its coefficient c: the box cuts out one
+    interval of c and each surviving avoid vector another, and the count is
+    the box interval minus the union of the avoid intervals.  A vector at
+    least another on the leaf cuts a sub-interval of the other's, so only the
+    front, the live vectors minimal on the leaf, is scored, found once per
+    live bitmask (one bit per avoid vector, carried down the walk).
+
+    The count below row k depends only on k, the coordinates still open
+    there and the live bitmask, as rows k.. change and read no final
+    coordinate: rows 0..d-2 are memoized on those in a dict local to the
+    call.  Row d-2 is swept, not looped: by the same floor divisions, each
+    live vector is kept on one interval of its coefficient, and between the
+    ends of those intervals the kept set is constant while the leaf moves
+    along one line, in steps of row d-2.  The last-level counts along each
+    (kept bitmask, line) are held as prefix sums, extended on demand either
+    way, so each last-level state is scored once and a run costs two lookups.
+
+    With limit set, counting stops once the running count passes it, and the
+    returned number is then some count above limit: a memoized branch can
+    carry it far past limit in one step, and a run stops at its first
+    coefficient that passes it.  A branch cut short is not memoized.
+    """
+    bounds = [int(b) for b in bounds]
+    ncols = len(bounds)
+    avoid = [tuple(int(x) for x in v) for v in avoid]
+    if any(len(v) != ncols for v in avoid):
+        raise ValueError("avoid vector length does not match the box")
+    if any(b < 0 for b in bounds):
+        return 0
+    d = basis.nrows
+    if d and basis.ncols != ncols:
+        raise ValueError("bounds length does not match basis width")
+    rows = basis.rows
+    pivots = _pivot_columns(basis)
+    # level[j]: the last row with a nonzero entry in column j, -1 for none.
+    level = [max((k for k in range(d) if rows[k][j]), default=-1) for j in range(ncols)]
+    final = [[j for j in range(ncols) if level[j] == k and j != p] for k, p in enumerate(pivots)]
+    # Each avoid vector with the level at which its last positive entry
+    # becomes final; coordinates of level -1 are 0.
+    live = []
+    for v in avoid:
+        end = max((level[j] for j, x in enumerate(v) if x > 0), default=-1)
+        if all(x <= 0 for x, lev in zip(v, level) if lev < 0):
+            if end < 0:
+                return 0
+            live.append((v, end, 1 << len(live)))
+    if d == 0:
+        return 1
+    # A row's coefficient c moves its pivot and the other columns of its final
+    # set by s_j each; cutter reads them at positions at(j), split by sign.
+    def cutter(k: int, top: Sequence[int], at=lambda j: j):
+        row, p = rows[k], pivots[k]
+        step, p = row[p], at(p)
+        rising = [(at(j), row[j]) for j in final[k] if row[j] > 0]
+        falling = [(at(j), -row[j]) for j in final[k] if row[j] < 0]
+
+        def cut(u, vectors) -> tuple[int, int, list]:
+            # [lo, hi], the c that keep u + c*row in the box on those columns,
+            # and per vector v the c from vlo (not cut to lo) to vhi with u + c*row >= v there
+            lo, hi = -(u[p] // step), (top[p] - u[p]) // step
+            for j, s in rising:
+                a, b = -(u[j] // s), (top[j] - u[j]) // s
+                lo, hi = a if a > lo else lo, b if b < hi else hi
+            for j, s in falling:
+                a, b = -((top[j] - u[j]) // s), u[j] // s
+                lo, hi = a if a > lo else lo, b if b < hi else hi
+            cuts = []
+            if lo <= hi:
+                for v in vectors:
+                    vlo, vhi = -((u[p] - v[p]) // step), hi
+                    for j, s in rising:
+                        a = -((u[j] - v[j]) // s)
+                        vlo = a if a > vlo else vlo
+                    for j, s in falling:
+                        b = (u[j] - v[j]) // s
+                        vhi = b if b < vhi else vhi
+                    cuts.append((vlo, vhi))
+            return lo, hi, cuts
+
+        return cut
+
+    leaf = [pivots[-1]] + final[-1]  # the last level reads points and vectors on leaf
+    cut_last = cutter(d - 1, [bounds[j] for j in leaf], leaf.index)
+    memo: dict[tuple, int] = {}  # (k < d - 1, live bitmask, open coordinates) -> count below
+    fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
+    lines: dict[tuple, tuple] = {}  # (kept bitmask, line base) -> prefix sums along the line
+
+    def front(live) -> list:
+        # sorted on leaf, a vector comes after every vector below it there
+        minimal: list = []
+        for u in sorted({tuple(v[j] for j in leaf) for v, _, _ in live}):
+            if not any(all(map(le, w, u)) for w in minimal):
+                minimal.append(u)
+        return minimal
+
+    def count_last(u: tuple, front: list) -> int:
+        lo, hi, cuts = cut_last(u, front)
+        if lo > hi:
+            return 0
+        covered, reach = 0, lo - 1
+        for vlo, vhi in sorted(cuts):
+            if vlo <= vhi and vhi > reach:
+                covered += vhi - (vlo if vlo > reach else reach + 1) + 1
+                reach = vhi
+        return hi - lo + 1 - covered
+
+    if d == 1:
+        return count_last((0,) * len(leaf), front(live))
+    # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
+    opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d - 1)]
+    cut_row = cutter(d - 2, bounds)
+    # Row d - 2 moves the leaf by delta.  A line of leaf points base + m*delta
+    # is keyed by its base, whose entry at lead, the first nonzero of delta,
+    # lies in [0, delta[lead]) (in (delta[lead], 0] for a negative one).
+    delta = [rows[d - 2][j] for j in leaf]
+    lead = next((i for i, s in enumerate(delta) if s), None)
+
+    def run(bits: int, live, base: tuple, ma: int, mb: int, room) -> int:
+        """The last-level count of the kept set bits summed over the line's
+        points ma <= m < mb, or its first partial sum past room."""
+        vectors = fronts.get(bits)
+        if vectors is None:
+            vectors = fronts[bits] = front([item for item in live if item[2] & bits])
+        table = lines.get((bits, base))
+        if table is None:  # the one state of a line with delta 0, or empty sums from ma
+            table = count_last(base, vectors) if lead is None else (ma, [0], [0])
+            lines[bits, base] = table
+        if lead is None:  # m points of the one state
+            sums = table.__mul__
+        else:
+            # right[i] sums the points m0 <= m < m0 + i, left[i] those m0 - i <= m < m0
+            m0, right, left = table
+            for m in range(m0 + len(right) - 1, mb):
+                u = tuple(x + m * s for x, s in zip(base, delta))
+                right.append(right[-1] + count_last(u, vectors))
+            for m in range(m0 - len(left), ma - 1, -1):
+                u = tuple(x + m * s for x, s in zip(base, delta))
+                left.append(left[-1] + count_last(u, vectors))
+
+            def sums(m: int) -> int:  # the points m0 <= . < m, negated for m < m0
+                return right[m - m0] if m >= m0 else -left[m0 - m]
+
+        first = sums(ma)
+        total = sums(mb) - first
+        if total > room:
+            m = bisect_right(range(ma + 1, mb + 1), room + first, key=sums)
+            return sums(ma + 1 + m) - first
+        return total
+
+    def rec(k: int, point: list[int], live, bits: int, room) -> int:
+        key = (k, bits, opened[k](point))
+        if key in memo:
+            return memo[key]
+        count = 0
+        if k == d - 2:
+            # Each live vector is kept on one interval of c; between the ends
+            # of those intervals the kept set is constant, and the leaf is at
+            # base + (c + shift)*delta: each run of c is read from that line.
+            lo, hi, cuts = cut_row(point, [item[0] for item in live])
+            ends = [(hi + 1, 0, 0)]
+            for (vlo, vhi), (_, end, bit) in zip(cuts, live):
+                if vlo <= vhi:  # a vector with end <= k blocks every point of its interval
+                    ends.append((vlo, bit, end <= k))
+                    if vhi < hi:
+                        ends.append((vhi + 1, bit, -(end <= k)))
+            shift = 0 if lead is None else point[leaf[lead]] // delta[lead]
+            base = tuple(point[j] - shift * s for j, s in zip(leaf, delta))
+            kept = blocked = 0
+            for c, bit, block in sorted(ends):
+                if lo < c and not blocked:
+                    count += run(kept, live, base, lo + shift, c + shift, room - count)
+                    if count > room:
+                        return count  # a partial count, never memoized
+                lo, kept, blocked = c if c > lo else lo, kept ^ bit, blocked + block
+            memo[key] = count
+            return count
+        row, p, others = rows[k], pivots[k], final[k]
+        step = row[p]
+        # The pivot coordinate grows with c, so the vectors it passes are a
+        # growing prefix of live sorted by their pivot entry.
+        live = sorted(live, key=lambda item: item[0][p])
+        passed, passed_bits, least_end = 0, 0, d
+        first = -(point[p] // step)  # moved is point + c*row, from one row below the first c
+        moved = [a + (first - 1) * s for a, s in zip(point, row)]
+        for _ in range(first, (bounds[p] - point[p]) // step + 1):
+            moved = list(map(add, moved, row))
+            if others and not all(0 <= moved[j] <= bounds[j] for j in others):
+                continue
+            while passed < len(live) and live[passed][0][p] <= moved[p]:
+                least_end = min(least_end, live[passed][1])
+                passed_bits |= live[passed][2]
+                passed += 1
+            kept, kept_bits = live[:passed], passed_bits
+            if others:
+                kept = [item for item in kept if all(moved[j] >= item[0][j] for j in others)]
+                if len(kept) < passed:
+                    kept_bits = sum(item[2] for item in kept)
+                if kept and min(end for _, end, _ in kept) <= k:
+                    continue
+            elif least_end <= k:
+                break  # some vector is dominated by every point of this and later branches
+            count += rec(k + 1, moved, kept, kept_bits, room - count)
+            if count > room:
+                return count  # a partial count, never memoized
+        memo[key] = count
+        return count
+
+    room = float("inf") if limit is None else limit
+    try:
+        return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
+    finally:
+        memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass
+        fronts.clear()
+        lines.clear()

@@ -9,9 +9,8 @@ Normality is an assumption of the signature pipeline, and check_normal
 certifies it up to a finite bound only, against a bitset over the box.
 """
 
-from dataclasses import dataclass
 from operator import index, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyPresentation, InvalidPresentation
 from .exact import (
@@ -24,23 +23,25 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class SemigroupPresentation:
+class SemigroupPresentation(
+    NamedTuple(
+        "SemigroupPresentation",
+        [("ambient_rank", int), ("generators", tuple[Vector, ...]), ("name", str | None)],
+    )
+):
     """Ambient rank plus a duplicate-free list of nonzero generators in N^r."""
 
-    ambient_rank: int
-    generators: tuple[Vector, ...]
-    name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, ambient_rank, generators, name=None):
         try:
-            rank = index(self.ambient_rank)
+            rank = index(ambient_rank)
         except TypeError:
             rank = 0
         if rank < 1:
             raise InvalidPresentation("ambient rank must be a positive integer")
         try:
-            gens = tuple(tuple(map(index, g)) for g in self.generators)
+            gens = tuple(tuple(map(index, g)) for g in generators)
         except TypeError:
             raise InvalidPresentation("generator coordinates must be integers") from None
         if not gens:
@@ -56,12 +57,10 @@ class SemigroupPresentation:
             if g in seen:
                 raise InvalidPresentation(f"duplicate generator {g}")
             seen.add(g)
-        object.__setattr__(self, "ambient_rank", rank)
-        object.__setattr__(self, "generators", gens)
+        return super().__new__(cls, rank, gens, name)
 
 
-@dataclass(frozen=True)
-class SemigroupContext:
+class SemigroupContext(NamedTuple):
     """A presentation with its lattice coordinates fixed.
 
     lattice is a Hermite basis of the group generated by the generators;
@@ -87,8 +86,7 @@ def build_context(presentation: SemigroupPresentation) -> SemigroupContext:
     return SemigroupContext(presentation, lattice, lattice.nrows, coords)
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     """Outcome of the bounded normality check.
 
     normal=True certifies saturation only for group-and-cone members with

@@ -11,11 +11,11 @@ face lattice (faces are bitmasks of vertices), and its fan is walked with one
 fraction-free step per face, |det| read at each vertex over one denominator.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .cone import FullEmbedding, extreme_rays, full_embedding
 from .errors import Unbounded
@@ -25,17 +25,16 @@ from .semigroup import SemigroupPresentation, build_context
 RationalVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class SignaturePolytope:
+class SignaturePolytope(
+    NamedTuple("SignaturePolytope", [("rows", tuple[Vector, ...]), ("dim", int)])
+):
     """The slab {x in R^dim : 0 <= w . x <= 1 for every row w}.
 
     half_spaces lists pairs (a, b) meaning a . x <= b: (-w, 0), then (w, 1).
-    The vertices are enumerated on first read; they are sorted
-    lexicographically and the origin is always one of them.
+    The vertices are enumerated on first read, into the instance dict (no
+    __slots__); they are sorted lexicographically and the origin is always
+    one of them.
     """
-
-    rows: tuple[Vector, ...]
-    dim: int
 
     @property
     def half_spaces(self) -> tuple[tuple[Vector, int], ...]:
@@ -69,15 +68,18 @@ class SignaturePolytope:
         return tuple(r[-1] for r in ordered), tuple(list(r[:-1]) for r in ordered)
 
 
-@dataclass(frozen=True)
-class SignatureResult:
-    value: Fraction
-    polytope: SignaturePolytope
-    embedding: FullEmbedding
+class SignatureResult(
+    NamedTuple(
+        "SignatureResult",
+        [("value", Fraction), ("polytope", SignaturePolytope), ("embedding", FullEmbedding)],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.value <= 1:
-            raise ArithmeticError(f"signature {self.value} outside (0, 1]")
+    def __new__(cls, value, polytope, embedding):
+        if not 0 < value <= 1:
+            raise ArithmeticError(f"signature {value} outside (0, 1]")
+        return super().__new__(cls, value, polytope, embedding)
 
 
 def signature_polytope(emb: FullEmbedding) -> SignaturePolytope:

@@ -1,10 +1,15 @@
 """Command-line interface: documents, subcommands, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fsig
 from fsig.cli import main
 from fsig.families import segre_aq_closed_form
 
@@ -653,3 +658,44 @@ class TestOutputIsPinned:
             "name": "segre(2,3)",
         }
         assert (tmp_path / "segre23.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def fresh_interpreter(code):
+    """Run code in a new interpreter without site packages, fsig imported from this
+    tree; its last line of stdout is read as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fsig.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    # each case in its own process: a command loads only the layers it runs,
+    # and no fsig module needs dataclasses (and inspect, ast, dis behind it)
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["signature", "FILE", "--json"], {"fsig.frobenius", "fsig.families", "dataclasses"}),
+            (["hk", "FILE", "--q", "2"], {"fsig.signature", "fsig.families", "dataclasses"}),
+        ],
+        ids=["signature", "hk"],
+    )
+    def test_command_loads_only_its_layers(self, veronese22_file, argv, absent):
+        argv = [veronese22_file if a == "FILE" else a for a in argv]
+        code = (
+            "import json, sys\n"
+            "from fsig.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        loaded = set(fresh_interpreter(code))
+        assert {"fsig.cone", "fsig.exact", "fsig.semigroup"} <= loaded
+        assert not loaded & absent, loaded & absent
+
+    def test_package_import_loads_no_layer(self):
+        code = "import json, sys, fsig\nprint(json.dumps([sorted(sys.modules), dir(fsig)]))"
+        loaded, names = fresh_interpreter(code)
+        assert [m for m in loaded if m.startswith("fsig")] == ["fsig"]
+        assert set(fsig.__all__) <= set(names)

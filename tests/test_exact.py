@@ -16,7 +16,6 @@ from fsig import exact
 from fsig.cone import full_embedding
 from fsig.exact import (
     IntegerMatrix,
-    count_lattice_points,
     determinant,
     express_in_basis,
     extended_gcd_vector,
@@ -31,7 +30,7 @@ from fsig.exact import (
     solve_linear_system,
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
-from fsig.frobenius import MonomialIdeal, socle_witness
+from fsig.frobenius import MonomialIdeal, count_lattice_points, socle_witness
 from fsig.semigroup import build_context
 from oracles import counted_by_enumeration
 

@@ -12,7 +12,6 @@ from fsig import exact, frobenius
 from fsig.cone import fraction_field_witness, full_embedding
 from fsig.errors import BudgetExceeded, NotPrimary
 from fsig.exact import (
-    count_lattice_points,
     express_in_basis,
     lattice_points_in_box,
     vadd,
@@ -24,6 +23,7 @@ from fsig.frobenius import (
     MonomialIdeal,
     brute_force_aq,
     count_aq,
+    count_lattice_points,
     hk_colength,
     hk_difference_identity,
     socle_witness,

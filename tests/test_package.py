@@ -3,12 +3,17 @@ README's library example."""
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fsig
-from fsig.frobenius import MonomialIdeal, hk_colength, socle_witness
+from fsig.cone import FacetFunctional, FullEmbedding
+from fsig.exact import IntegerMatrix
+from fsig.frobenius import FrobeniusCount, MonomialIdeal, hk_colength, socle_witness
+from fsig.semigroup import NormalityVerdict, SemigroupContext
+from fsig.signature import SignaturePolytope, SignatureResult
 
 PACKAGE = Path(fsig.__file__).parent
 
@@ -110,6 +115,90 @@ def test_integer_parameters_are_read_with_index(entry):
     assert call(Three()) == call(3)
 
 
+POLYTOPE = fsig.signature_polytope(EMBEDDING)
+OUTSIDE = r"outside \(0, 1\]"
+# per record: its fields by name, with values that pass its checks, and the
+# (fields changed, error, message) of each check it makes on construction
+RECORDS = {
+    IntegerMatrix: (
+        {"rows": ((1, 2), (3, 4))},
+        [
+            ({"rows": ((1, 2), (3,))}, ValueError, "rows must all have the same length"),
+            ({"rows": ((1, 1.5),)}, TypeError, None),
+            ({"rows": ((Fraction(1, 2),),)}, TypeError, None),
+        ],
+    ),
+    fsig.SemigroupPresentation: (
+        {"ambient_rank": 2, "generators": ((2, 0), (1, 1), (0, 2)), "name": "v22"},
+        [
+            ({"ambient_rank": 0}, fsig.InvalidPresentation, "ambient rank must be a positive"),
+            ({"ambient_rank": 1.5}, fsig.InvalidPresentation, "ambient rank must be a positive"),
+            ({"generators": ((1.5, 0),)}, fsig.InvalidPresentation, "must be integers"),
+            ({"generators": ()}, fsig.EmptyPresentation, "at least one generator"),
+            ({"generators": ((1, 0), (1,))}, fsig.InvalidPresentation, "does not have 2 coord"),
+            ({"generators": ((1, -1),)}, fsig.InvalidPresentation, "negative coordinate"),
+            ({"generators": ((0, 0),)}, fsig.InvalidPresentation, "zero vector"),
+            ({"generators": ((1, 0), (1, 0))}, fsig.InvalidPresentation, "duplicate generator"),
+        ],
+    ),
+    SemigroupContext: (dict(zip(SemigroupContext._fields, CONTEXT)), []),
+    NormalityVerdict: ({"normal": False, "counterexample": (1, 0), "bound": 4}, []),
+    FacetFunctional: (
+        {"ray": (1, 0), "denominator": 2, "values_on_generators": (2, 1, 0)},
+        [
+            ({"values_on_generators": (2, -1, 0)}, ValueError, "negative on a generator"),
+            ({"values_on_generators": (0, 0, 0)}, ValueError, "vanishes on every generator"),
+            ({"values_on_generators": (2, 4, 0)}, ValueError, "not coprime"),
+        ],
+    ),
+    FullEmbedding: (dict(zip(FullEmbedding._fields, EMBEDDING)), []),
+    SignaturePolytope: ({"rows": POLYTOPE.rows, "dim": POLYTOPE.dim}, []),
+    SignatureResult: (
+        {"value": Fraction(1, 2), "polytope": POLYTOPE, "embedding": EMBEDDING},
+        [
+            ({"value": Fraction(0)}, ArithmeticError, OUTSIDE),
+            ({"value": Fraction(-1, 2)}, ArithmeticError, OUTSIDE),
+            ({"value": Fraction(3, 2)}, ArithmeticError, OUTSIDE),
+        ],
+    ),
+    FrobeniusCount: ({"q": 3, "a_q": 5, "ratio": Fraction(5, 9)}, []),
+    MonomialIdeal: ({"bounds": ((2, 2),), "generators": ((1, 2),)}, []),
+}
+DEFAULTS = {
+    fsig.SemigroupPresentation: {"name": None},
+    MonomialIdeal: {"bounds": (), "generators": ()},
+}
+# built on first read and kept in the instance dict
+LAZY = {FullEmbedding: ("image_lattice",), SignaturePolytope: ("vertices", "_homogeneous")}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_record_contract(record):
+    # immutable value records: built by position or keyword, equal and hashed
+    # by value, fields read-only, each construction check still in place
+    fields, invalid = RECORDS[record]
+    assert record._fields == tuple(fields)
+    made = record(*fields.values())
+    assert made == record(**fields) and hash(made) == hash(record(**fields))
+    assert {name: getattr(made, name) for name in fields} == fields
+    defaults = DEFAULTS.get(record, {})
+    bare = record(**{name: value for name, value in fields.items() if name not in defaults})
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(made, name, value)
+    for changed, error, message in invalid:
+        with pytest.raises(error, match=message):
+            record(**{**fields, **changed})
+    lazy = LAZY.get(record, ())
+    assert hasattr(made, "__dict__") == bool(lazy)  # only a record that caches has one
+    assert not set(lazy) & set(getattr(made, "__dict__", ()))
+    for name in lazy:
+        getattr(made, name)
+        assert name in vars(made)
+    assert made == record(**fields) and hash(made) == hash(record(**fields))
+
+
 def test_every_import_is_used():
     # module-level and function-level imports alike (cli imports inside a function)
     for path in sorted(PACKAGE.glob("*.py")):
@@ -208,11 +297,13 @@ def _module_state(module):
 
 
 def test_exact_keeps_no_module_state():
-    # the counter's memo lives in each call, so the kernel stays thread-safe:
-    # no module-level dict and no functools cache in fsig.exact
-    state, names = _module_state("exact.py")
-    assert not state, state
-    assert not names & {"functools", "cache", "lru_cache", "cached_property"}
+    # the counter's memo lives in each call, so the kernel and the counter stay
+    # thread-safe: no module-level dict and no functools cache in fsig.exact or
+    # in fsig.frobenius, where the counter lives
+    for module in ("exact.py", "frobenius.py"):
+        state, names = _module_state(module)
+        assert not state, (module, state)
+        assert not names & {"functools", "cache", "lru_cache", "cached_property"}, module
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
