@@ -180,7 +180,7 @@ def lattice_coordinates(vectors: Sequence, basis: IntegerMatrix) -> list[Vector 
     for v in vectors:
         if basis.nrows and len(v) != basis.ncols:
             raise ValueError("vector length does not match basis width")
-        residual, coeffs = [int(x) for x in v], []
+        residual, coeffs = list(map(index, v)), []
         for row, p in steps:
             c, rem = divmod(residual[p], row[p])
             if rem:
@@ -372,7 +372,7 @@ def lattice_points_in_box(basis: IntegerMatrix, bounds: Sequence[int]) -> Iterat
     The basis must be in Hermite form.  The points come in increasing
     lexicographic order: the runs of _lattice_runs, expanded.
     """
-    bounds = [int(b) for b in bounds]
+    bounds = list(map(index, bounds))
     if any(b < 0 for b in bounds):
         return
     if basis.nrows == 0:

@@ -25,7 +25,7 @@ guard bits answer a bound test for every coordinate at once.
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add, index, itemgetter, le
+from operator import index, itemgetter, le
 from typing import NamedTuple, Sequence
 
 from .cone import FullEmbedding, fraction_field_witness, full_embedding
@@ -322,38 +322,41 @@ def count_lattice_points(
     """Number of row-lattice points in prod [0, bounds[j]] dominating no avoid vector.
 
     A point dominates v when it is componentwise at least v.  The basis must
-    be in Hermite form.  The first d-1 coefficients are iterated pivot by
-    pivot, pruned by the box as in exact._lattice_runs.  Coordinate j is
-    final once the last row with a nonzero entry in column j has its
-    coefficient fixed; then the box is checked there, an avoid vector the
-    coordinate falls below is dropped, and the branch is empty once a
-    surviving avoid vector has all its positive entries in final
-    coordinates.  The last row moves only the leaf, its pivot and the columns
-    it makes final, affinely in its coefficient c: the box cuts out one
-    interval of c and each surviving avoid vector another, and the count is
-    the box interval minus the union of the avoid intervals.  A vector at
-    least another on the leaf cuts a sub-interval of the other's, so only the
-    front, the live vectors minimal on the leaf, is scored, found once per
-    live bitmask (one bit per avoid vector, carried down the walk).
+    be in Hermite form.  Coordinate j is final once the last row with a
+    nonzero entry in column j has its coefficient fixed.  A row's
+    coefficient c moves its pivot and the columns it makes final affinely,
+    so by floor divisions the box keeps one interval of c there, and each
+    live avoid vector (one every final coordinate reaches) is kept on
+    another, where those coordinates reach it too; outside it the vector is
+    dropped.  A kept vector whose positive entries are all final blocks
+    every point of its interval.  Every row is swept by the sorted ends of
+    those intervals, not looped: between two ends the kept set is constant,
+    and only the runs of c that nothing blocks are counted, so a range the
+    box or a blocking vector excludes costs one floor division.  The last
+    row moves only the leaf, its pivot and the columns it makes final, and
+    counts the length of its runs.  A vector at least another on the leaf
+    cuts a sub-interval of the other's, so only the front, the live vectors
+    minimal on the leaf, is cut there, found once per live bitmask (one bit
+    per avoid vector, carried down the walk).
 
     The count below row k depends only on k, the coordinates still open
     there and the live bitmask, as rows k.. change and read no final
     coordinate: rows 0..d-2 are memoized on those in a dict local to the
-    call.  Row d-2 is swept, not looped: by the same floor divisions, each
-    live vector is kept on one interval of its coefficient, and between the
-    ends of those intervals the kept set is constant while the leaf moves
-    along one line, in steps of row d-2.  The last-level counts along each
-    (kept bitmask, line) are held as prefix sums, extended on demand either
-    way, so each last-level state is scored once and a run costs two lookups.
+    call.  The rows above d-2 recurse on each coefficient of a run, with the
+    run's kept set.  Row d-2 reads each run from a line of the last level:
+    along a run the leaf moves along one line, in steps of row d-2, and the
+    last-level counts along each (kept bitmask, line) are held as prefix
+    sums, extended on demand either way, so each last-level state is scored
+    once and a run costs two lookups.
 
     With limit set, counting stops once the running count passes it, and the
     returned number is then some count above limit: a memoized branch can
     carry it far past limit in one step, and a run stops at its first
     coefficient that passes it.  A branch cut short is not memoized.
     """
-    bounds = [int(b) for b in bounds]
+    bounds = list(map(index, bounds))
     ncols = len(bounds)
-    avoid = [tuple(int(x) for x in v) for v in avoid]
+    avoid = [tuple(map(index, v)) for v in avoid]
     if any(len(v) != ncols for v in avoid):
         raise ValueError("avoid vector length does not match the box")
     if any(b < 0 for b in bounds):
@@ -385,9 +388,12 @@ def count_lattice_points(
         rising = [(at(j), row[j]) for j in final[k] if row[j] > 0]
         falling = [(at(j), -row[j]) for j in final[k] if row[j] < 0]
 
-        def cut(u, vectors) -> tuple[int, int, list]:
-            # [lo, hi], the c that keep u + c*row in the box on those columns,
-            # and per vector v the c from vlo (not cut to lo) to vhi with u + c*row >= v there
+        def cut(u, items) -> tuple[int, list]:
+            # lo and the sorted ends of the intervals of c: (hi + 1, 0, 0) past
+            # the [lo, hi] that keeps u + c*row in the box on those columns, and
+            # per item (v, end, bit) whose [vlo, vhi] (vlo not cut to lo) with
+            # u + c*row >= v there is not empty, (vlo, bit, blocks) and, if
+            # vhi < hi, (vhi + 1, bit, -blocks); v blocks if end <= k
             lo, hi = -(u[p] // step), (top[p] - u[p]) // step
             for j, s in rising:
                 a, b = -(u[j] // s), (top[j] - u[j]) // s
@@ -395,9 +401,9 @@ def count_lattice_points(
             for j, s in falling:
                 a, b = -((top[j] - u[j]) // s), u[j] // s
                 lo, hi = a if a > lo else lo, b if b < hi else hi
-            cuts = []
+            ends = [(hi + 1, 0, 0)]
             if lo <= hi:
-                for v in vectors:
+                for v, end, bit in items:
                     vlo, vhi = -((u[p] - v[p]) // step), hi
                     for j, s in rising:
                         a = -((u[j] - v[j]) // s)
@@ -405,8 +411,12 @@ def count_lattice_points(
                     for j, s in falling:
                         b = (u[j] - v[j]) // s
                         vhi = b if b < vhi else vhi
-                    cuts.append((vlo, vhi))
-            return lo, hi, cuts
+                    if vlo <= vhi:
+                        ends.append((vlo, bit, end <= k))
+                        if vhi < hi:
+                            ends.append((vhi + 1, bit, -(end <= k)))
+                ends.sort()
+            return lo, ends
 
         return cut
 
@@ -415,31 +425,32 @@ def count_lattice_points(
     memo: dict[tuple, int] = {}  # (k < d - 1, live bitmask, open coordinates) -> count below
     fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
     lines: dict[tuple, tuple] = {}  # (kept bitmask, line base) -> prefix sums along the line
+    members: dict[int, list] = {}  # kept bitmask -> its items, for the rows above d - 2
 
     def front(live) -> list:
-        # sorted on leaf, a vector comes after every vector below it there
+        # sorted on leaf, a vector comes after every vector below it there; each
+        # is kept as an item of the last row (end d - 1, no bit), so it blocks
         minimal: list = []
         for u in sorted({tuple(v[j] for j in leaf) for v, _, _ in live}):
-            if not any(all(map(le, w, u)) for w in minimal):
-                minimal.append(u)
+            if not any(all(map(le, w, u)) for w, _, _ in minimal):
+                minimal.append((u, d - 1, 0))
         return minimal
 
     def count_last(u: tuple, front: list) -> int:
-        lo, hi, cuts = cut_last(u, front)
-        if lo > hi:
-            return 0
-        covered, reach = 0, lo - 1
-        for vlo, vhi in sorted(cuts):
-            if vlo <= vhi and vhi > reach:
-                covered += vhi - (vlo if vlo > reach else reach + 1) + 1
-                reach = vhi
-        return hi - lo + 1 - covered
+        # the c of the box that no front vector's interval holds
+        lo, ends = cut_last(u, front)
+        count = blocked = 0
+        for c, _, block in ends:
+            if lo < c and not blocked:
+                count += c - lo
+            lo, blocked = c if c > lo else lo, blocked + block
+        return count
 
     if d == 1:
         return count_last((0,) * len(leaf), front(live))
     # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
     opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d - 1)]
-    cut_row = cutter(d - 2, bounds)
+    cut_rows = [cutter(k, bounds) for k in range(d - 1)]
     # Row d - 2 moves the leaf by delta.  A line of leaf points base + m*delta
     # is keyed by its base, whose entry at lead, the first nonzero of delta,
     # lies in [0, delta[lead]) (in (delta[lead], 0] for a negative one).
@@ -482,57 +493,30 @@ def count_lattice_points(
         key = (k, bits, opened[k](point))
         if key in memo:
             return memo[key]
-        count = 0
-        if k == d - 2:
-            # Each live vector is kept on one interval of c; between the ends
-            # of those intervals the kept set is constant, and the leaf is at
-            # base + (c + shift)*delta: each run of c is read from that line.
-            lo, hi, cuts = cut_row(point, [item[0] for item in live])
-            ends = [(hi + 1, 0, 0)]
-            for (vlo, vhi), (_, end, bit) in zip(cuts, live):
-                if vlo <= vhi:  # a vector with end <= k blocks every point of its interval
-                    ends.append((vlo, bit, end <= k))
-                    if vhi < hi:
-                        ends.append((vhi + 1, bit, -(end <= k)))
+        # Between two ends of the intervals the kept set is constant: each
+        # run of c that no kept vector blocks is counted.
+        lo, ends = cut_rows[k](point, live)
+        if k == d - 2:  # the leaf is at base + (c + shift)*delta: a run is read from that line
             shift = 0 if lead is None else point[leaf[lead]] // delta[lead]
             base = tuple(point[j] - shift * s for j, s in zip(leaf, delta))
-            kept = blocked = 0
-            for c, bit, block in sorted(ends):
-                if lo < c and not blocked:
+        row = rows[k]
+        count = kept = blocked = 0
+        for c, bit, block in ends:
+            if lo < c and not blocked:
+                if k == d - 2:
                     count += run(kept, live, base, lo + shift, c + shift, room - count)
-                    if count > room:
-                        return count  # a partial count, never memoized
-                lo, kept, blocked = c if c > lo else lo, kept ^ bit, blocked + block
-            memo[key] = count
-            return count
-        row, p, others = rows[k], pivots[k], final[k]
-        step = row[p]
-        # The pivot coordinate grows with c, so the vectors it passes are a
-        # growing prefix of live sorted by their pivot entry.
-        live = sorted(live, key=lambda item: item[0][p])
-        passed, passed_bits, least_end = 0, 0, d
-        first = -(point[p] // step)  # moved is point + c*row, from one row below the first c
-        moved = [a + (first - 1) * s for a, s in zip(point, row)]
-        for _ in range(first, (bounds[p] - point[p]) // step + 1):
-            moved = list(map(add, moved, row))
-            if others and not all(0 <= moved[j] <= bounds[j] for j in others):
-                continue
-            while passed < len(live) and live[passed][0][p] <= moved[p]:
-                least_end = min(least_end, live[passed][1])
-                passed_bits |= live[passed][2]
-                passed += 1
-            kept, kept_bits = live[:passed], passed_bits
-            if others:
-                kept = [item for item in kept if all(moved[j] >= item[0][j] for j in others)]
-                if len(kept) < passed:
-                    kept_bits = sum(item[2] for item in kept)
-                if kept and min(end for _, end, _ in kept) <= k:
-                    continue
-            elif least_end <= k:
-                break  # some vector is dominated by every point of this and later branches
-            count += rec(k + 1, moved, kept, kept_bits, room - count)
-            if count > room:
-                return count  # a partial count, never memoized
+                else:
+                    items = members.get(kept)
+                    if items is None:
+                        items = members[kept] = [item for item in live if item[2] & kept]
+                    for b in range(lo, c):
+                        moved = [a + b * s for a, s in zip(point, row)]
+                        count += rec(k + 1, moved, items, kept, room - count)
+                        if count > room:
+                            break
+                if count > room:
+                    return count  # a partial count, never memoized
+            lo, kept, blocked = c if c > lo else lo, kept ^ bit, blocked + block
         memo[key] = count
         return count
 
@@ -543,3 +527,4 @@ def count_lattice_points(
         memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass
         fronts.clear()
         lines.clear()
+        members.clear()

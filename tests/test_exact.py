@@ -4,6 +4,7 @@ import gc
 import itertools
 import operator
 import random
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fsig.exact import (
     extended_gcd_vector,
     gauss_jordan,
     hermite_basis,
+    lattice_coordinates,
     lattice_points_in_box,
     matrix_rank,
     primitive_vector,
@@ -415,6 +417,15 @@ class TestExpressInBasis:
         with pytest.raises(ValueError):
             express_in_basis((1, 0, 0), self.BASIS)
 
+    def test_non_integer_vector_refused(self):
+        # int() would read (1.7, 0) as (1, 0), in the lattice of the identity
+        identity = IntegerMatrix(((1, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            lattice_coordinates([(1.7, 0)], identity)
+        with pytest.raises(TypeError):
+            express_in_basis((2, Fraction(1, 2)), self.BASIS)
+        assert lattice_coordinates([(2, 0), (1, 0)], self.BASIS) == [(2, -1), None]
+
     def test_roundtrip_randomized(self):
         rng = random.Random(1705)
         for _ in range(30):
@@ -490,6 +501,10 @@ class TestLatticePointsInBox:
     def test_rank_zero_lattice(self):
         basis = hermite_basis(IntegerMatrix(((0, 0),)))
         assert list(lattice_points_in_box(basis, (3, 3))) == [(0, 0)]
+
+    def test_non_integer_bounds_refused(self):
+        with pytest.raises(TypeError):
+            list(lattice_points_in_box(IntegerMatrix(((1, 0), (0, 1))), (1.5, 2)))
 
 
 # Hermite bases with negative and zero entries after the last pivot, and with
@@ -916,6 +931,55 @@ class TestCountLatticePoints:
     def test_avoid_length_checked(self):
         with pytest.raises(ValueError):
             count_lattice_points(IntegerMatrix(((1, 1),)), (2, 2), [(1,)])
+
+    @staticmethod
+    def calls_in_frobenius(basis, bounds, avoid):
+        """The count, and the Python calls it makes in fsig.frobenius."""
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_globals.get("__name__") == "fsig.frobenius":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            count = count_lattice_points(basis, bounds, avoid)
+        finally:
+            sys.setprofile(None)
+        return count, calls
+
+    def test_a_range_the_final_columns_exclude_costs_no_walk(self):
+        # Row 1 makes column 2 final with entry -1, so its coefficient c_1 has
+        # 10**5 + 1 pivot values, of which only c_1 <= c_0 keep column 2 in the
+        # box.  The kept points are the 21 pairs c_1 <= c_0 <= 5 less the 10
+        # with 1 <= c_1 < c_0, which dominate the avoid vector, each with 4 x 4
+        # free last coordinates.
+        basis = IntegerMatrix(((1, 0, 1, 0, 0), (0, 1, -1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
+        avoid = [(0, 1, 1, 0, 0)]
+        count, calls = self.calls_in_frobenius(basis, (5, 10**5, 10**5, 3, 3), avoid)
+        assert count == 11 * 16
+        assert calls < 1000
+        for bounds in ((3, 4, 2, 1, 1), (5, 2, 5, 2, 0), (4, 6, 6, 1, 2)):
+            expected = counted_by_enumeration(basis, bounds, avoid)
+            assert count_lattice_points(basis, bounds, avoid) == expected
+
+    def test_a_blocked_run_above_the_row_before_the_last_is_skipped(self):
+        # Every c_0 >= 1 dominates (1, 0, 0): one coefficient of 10**6 + 1 is counted
+        basis = IntegerMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        count, calls = self.calls_in_frobenius(basis, (10**6, 5, 5), [(1, 0, 0)])
+        assert count == 36
+        assert calls < 1000
+
+    def test_non_integer_avoid_and_bounds_refused(self):
+        # int() would read (1.5, 0) as (1, 0) and count 3 points, not the 6
+        # of the box that do not dominate (1.5, 0)
+        identity = IntegerMatrix(((1, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            count_lattice_points(identity, (2, 2), [(1.5, 0)])
+        with pytest.raises(TypeError):
+            count_lattice_points(identity, (2.5, 2))
+        assert count_lattice_points(identity, (True, 2), [(1, 0)]) == 3
 
 
 class TestSmallHelpers:
