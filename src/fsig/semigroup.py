@@ -5,8 +5,11 @@ derived from it fixes lattice coordinates: a Hermite basis of the group
 generated by the generators, against which all downstream functionals and
 counts are expressed.
 
-Normality is an assumption of the signature pipeline, and check_normal
-certifies it up to a finite bound only, against a bitset over the box.
+Normality is an assumption of the signature pipeline.  check_normal first
+decides the free case exactly: when some generators take the unit values on
+as many facets as the rank, the semigroup is free, hence normal at every
+bound.  Otherwise it certifies normality up to a finite bound only, against a
+bitset over the box.  The verdict is the same either way.
 """
 
 from operator import index, mul
@@ -104,6 +107,15 @@ def _tile(pattern: int, width: int, copies: int) -> int:
     return odd if copies < 2 else odd | _tile(pattern | pattern << width, 2 * width, copies // 2)
 
 
+def _certified_free(ctx: SemigroupContext, facets: Sequence) -> bool:
+    """Whether rank-many facets take the unit values e_0, ..., e_{d-1} on some generators."""
+    d = ctx.rank
+    if len(facets) != d:
+        return False
+    values = set(zip(*(f.values_on_generators for f in facets)))
+    return all(tuple(int(i == j) for j in range(d)) in values for i in range(d))
+
+
 def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> NormalityVerdict:
     """Bounded normality diagnostic.
 
@@ -112,13 +124,30 @@ def check_normal(ctx: SemigroupContext, facets: Sequence, bound: int) -> Normali
     lexicographically least failure is returned as a counterexample.  facets
     are FacetFunctionals (emb.functionals), read as their integer rays.
 
-    Closes the generators once per call in a bitset with bit sum_k u_k * B^(d-1-k) for
-    Hermite pivot coordinates u in [0, bound]^d, B = bound + 1.  These fix a lattice point,
-    and bit order is lexicographic.  Facets cut each run of _lattice_runs to a bit progression.
+    The free case is decided exactly first, with the same verdict as the walk
+    below at every bound.  Let d = ctx.rank, M the group the generators span
+    and Phi: M -> Z^d the values of d facets, read as f.values_on_generators.
+    Phi is integral, since M is spanned by the generators.  If for each i some
+    generator g_i has Phi(g_i) = e_i, then Phi(M) = Z^d, and as M has rank d,
+    Phi is injective.  So every v in M with Phi(v) >= 0 equals the generator
+    sum sum_i Phi(v)_i g_i, and no bound has a counterexample.  Facet lists of
+    another length, or without those unit values, go to the walk.
+
+    The walk closes the generators once per call in a bitset with bit
+    sum_k u_k * B^(d-1-k) for Hermite pivot coordinates u in [0, bound]^d,
+    B = bound + 1.  These fix a lattice point, and bit order is lexicographic.
+    Facets cut each run of _lattice_runs to a bit progression.
     """
     bound = index(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if _certified_free(ctx, facets):
+        return NormalityVerdict(True, None, bound)
+    return _walk(ctx, facets, bound)
+
+
+def _walk(ctx: SemigroupContext, facets: Sequence, bound: int) -> NormalityVerdict:
+    """check_normal's closure and run walk over the box, for a validated bound."""
     base, pivots = bound + 1, _pivot_columns(ctx.lattice)
     weights = {p: base**k for k, p in enumerate(reversed(pivots))}  # least significant first
     reach = 1

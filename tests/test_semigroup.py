@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,18 +11,23 @@ from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
-from fsig.exact import express_in_basis, lattice_points_in_box
+from fsig.exact import determinant, express_in_basis, lattice_points_in_box
 from fsig.families import segre_generators, veronese_generators
 from fsig.semigroup import (
     NormalityVerdict,
     SemigroupPresentation,
+    _certified_free,
+    _walk,
     build_context,
     check_normal,
 )
+from fsig.signature import f_signature
 
 from oracles import dot, is_natural_combination
+from test_signature import FAMILY_MEMBERS, random_presentations
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
+SEEDS = (20250811, 7)
 
 # 2a, a + b and 2b, with a = (0, ..., 0, 1, 2) and b = (1, ..., 1) in Z^12
 TWO_A, A_PLUS_B, TWO_B = (0,) * 10 + (2, 4), (1,) * 10 + (2, 3), (2,) * 12
@@ -169,11 +175,50 @@ class TestCheckNormal:
         assert verdict.normal and verdict.counterexample is None
 
     def test_gap_semigroup_counterexample(self):
-        # (1,0) is in the group and the cone but not generated
-        ctx, facets = facets_of(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
-        verdict = check_normal(ctx, facets, 4)
-        assert not verdict.normal
-        assert verdict.counterexample == (1, 0)
+        # (1,0) is in the group and the cone but not generated.  Each facet
+        # takes the value 1 on some generator and T is unimodular, so the
+        # signature reads 1; but no generator takes the values (1, 0), so the
+        # semigroup is not certified free and the walk finds the gap.
+        gap = SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1)))
+        ctx, facets = facets_of(gap)
+        assert all(1 in f.values_on_generators for f in facets)
+        assert abs(determinant(full_embedding(ctx).matrix_T)) == 1
+        assert f_signature(gap).value == 1
+        assert not _certified_free(ctx, facets)
+        assert check_normal(ctx, facets, 4) == NormalityVerdict(False, (1, 0), 4)
+
+    def test_fewer_facets_than_rank_are_walked(self):
+        # (1,0), (1,1) is free, but given only the facet with ray (0,1) its
+        # half-plane holds the gap (0,1); that one facet has the unit value
+        # (1,) on (1,1)
+        ctx, facets = facets_of(SemigroupPresentation(2, ((1, 0), (1, 1))))
+        assert _certified_free(ctx, facets)
+        upper = [f for f in facets if f.ray == (0, 1)]
+        assert check_normal(ctx, upper, 2) == NormalityVerdict(False, (0, 1), 2)
+        assert per_point_check_normal(ctx, upper, 2) == (False, (0, 1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_certificate_agrees_with_the_walk(self, seed):
+        for presentation in random_presentations(seed, 40):
+            ctx, facets = facets_of(presentation)
+            assert check_normal(ctx, facets, 6) == _walk(ctx, facets, 6), presentation
+
+    def test_free_input_builds_no_bitset(self):
+        # rank 5 at bound 40: the walk would close a bitset of 41^5 bits and
+        # walk 41^4 runs; the certificate needs neither
+        gens = ((2, 0, 0, 0, 2), (0, 1, 0, 0, 2), (0, 0, 1, 0, 2), (0, 0, 0, 1, 2), (1, 1, 0, 0, 2))
+        ctx, facets = facets_of(SemigroupPresentation(5, gens))
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in ("_tile", "_lattice_runs"):
+                raise AssertionError(f"check_normal called {frame.f_code.co_name}")
+
+        sys.setprofile(profile)
+        try:
+            verdict = check_normal(ctx, facets, 40)
+        finally:
+            sys.setprofile(None)
+        assert verdict == NormalityVerdict(True, None, 40)
 
     def test_free_semigroup_normal(self):
         ctx, facets = facets_of(FREE2)
@@ -195,6 +240,8 @@ class TestCheckNormal:
     @example(SemigroupPresentation(3, ((9, 2, 3), (9, 4, 5), (9, 8, 9))), 20)
     # rank 2 in Z^12: a is the gap of 2a, b, a + b
     @example(SemigroupPresentation(12, (TWO_A, (1,) * 12, A_PLUS_B)), 6)
+    # free, on a basis other than the unit vectors
+    @example(SemigroupPresentation(3, ((1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 2, 1))), 4)
     def test_matches_per_point_oracle(self, presentation, bound):
         ctx, facets = facets_of(presentation)
         verdict = check_normal(ctx, facets, bound)
@@ -214,6 +261,27 @@ class TestCheckNormal:
         ctx, facets = facets_of(FREE2)
         with pytest.raises(ValueError):
             check_normal(ctx, facets, 0)
+
+
+class TestSignatureOneIffCertifiedFree:
+    """s = 1 iff the ring is regular (Huneke-Leuschke), here iff the semigroup is free."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_inputs_normal_up_to_bound_6(self, seed):
+        for p in random_presentations(seed, 40):
+            ctx, facets = facets_of(p)
+            if check_normal(ctx, facets, 6).normal:
+                assert (f_signature(p).value == 1) == _certified_free(ctx, facets), p
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [FREE2, *FAMILY_MEMBERS, *(veronese_generators(1, n) for n in (2, 3, 4, 5))],
+        ids=lambda p: p.name,
+    )
+    def test_families(self, presentation):
+        # normal by construction
+        free = _certified_free(*facets_of(presentation))
+        assert (f_signature(presentation).value == 1) == free
 
 
 class TestNaturalCombination:
