@@ -12,13 +12,16 @@ constraints both chooses the start constraints (its pivot columns) and
 gives the start rays (the rows of its right block), so rays are built in
 integer arithmetic throughout.
 
-The rows of T are the dual rays of the generator cone in lattice
-coordinates, as extreme_rays returns them.  Each is primitive and the
-generator coordinates span Z^rank, so its values on the generators are
-integers with gcd 1: each functional is integral and primitive on the
-generated group, which makes the stacked map T injective with a full image.
-The ambient form of every ray comes from one scaled inverse of the lattice
-basis's Gram matrix, as a primitive integer ray over an integer denominator.
+The cone is cut out in the Hermite basis B of the generated lattice: the
+constraints are the products P = G B^T of the generators with the basis
+rows, and each extreme ray y is the ambient functional x = y @ B on the
+lattice's span.  Over h, the gcd of its values on the generators, it takes
+coprime integer values on them, so each functional is integral and
+primitive on the generated group, which makes the stacked map T injective
+with a full image.  Its values on the basis rows, B @ x / h, are its row of
+T, and x / gcd(x) over h / gcd(x) is its primitive ambient ray over an
+integer denominator: no generator is written in lattice coordinates and no
+matrix is inverted.
 The facet list is the irredundant (minimal) one, ordered lexicographically
 by primitive ambient ray so that all downstream output is deterministic.
 """
@@ -37,7 +40,6 @@ from .exact import (
     hermite_basis,
     matrix_rank,
     primitive_vector,
-    scaled_inverse,
     vadd,
     vscale,
     vsub,
@@ -95,31 +97,33 @@ def extreme_rays(constraints: list[Vector]) -> list[Vector]:
     return sorted(r for r, _ in rays)
 
 
-def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector]]:
-    """(primitive ambient ray, denominator m, lattice ray w) per facet, sorted.
+def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector, Vector]]:
+    """(ambient ray, denominator m, row w of T, values on the generators) per facet, sorted.
 
-    w is a primitive extreme ray of the dual of the generator cone in lattice
-    coordinates.  The generator coordinates span Z^rank, so the values of w
-    on them have gcd 1: w is the facet's row of T as it stands.  The ambient
-    functional is y @ basis with gram @ y = w, so that it agrees with w on the
-    basis rows and vanishes on their orthogonal complement.  The gram matrix
-    of independent rows is positive definite, so d = det > 0 and inverse @ w
-    is d * y.  The inverse is symmetric, so d * y @ basis = w @ (inverse @
-    basis) = g * ray with ray primitive.  ray takes the integers d * w_k / g
-    on the basis rows and w is coprime, so the denominator m = d / g is whole.
+    y is a primitive extreme ray of the cone {y : P @ y >= 0}, P = G @ B^T
+    the products of the generators G with the basis rows B, and x = y @ B
+    is its ambient functional, so P @ y = G @ x.  A generator with lattice
+    coordinates c is c @ B, so P = C @ gram and the cone is the image under
+    gram^-1 of the dual cone in lattice coordinates: gram @ y = B @ x is a
+    positive multiple of that cone's primitive ray w, and the multiple is
+    h = gcd(P @ y), as C @ w has gcd 1.  Both integrality arguments:
+    w = B @ x / h is whole because every basis row is an integer combination
+    of generators, so each b . x is an integer combination of the g . x;
+    and the functional x / h has the primitive ray x / gcd(x) over the
+    denominator m = h / gcd(x), whole because gcd(x) divides every g . x.
     """
     if ctx.rank == 0:
         raise ValueError("generators span only the zero cone")
     basis = ctx.lattice.rows
-    d, inverse = scaled_inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
-    if d <= 0:
-        raise ArithmeticError("lattice basis lost rank")
-    columns = list(zip(*[[sum(map(mul, row, col)) for col in zip(*basis)] for row in inverse]))
+    products = [[sum(map(mul, g, b)) for b in basis] for g in ctx.presentation.generators]
+    columns = list(zip(*basis))
     facets = []
-    for w in extreme_rays([tuple(c) for c in ctx.generator_coords]):
-        scaled = [sum(map(mul, w, col)) for col in columns]
-        g = gcd(*scaled)
-        facets.append((tuple(x // g for x in scaled), d // g, w))
+    for y in extreme_rays(products):
+        values = [sum(map(mul, p, y)) for p in products]
+        x = [sum(map(mul, y, col)) for col in columns]
+        h, g = gcd(*values), gcd(*x)
+        w = tuple([sum(map(mul, b, x)) // h for b in basis])
+        facets.append((tuple([a // g for a in x]), h // g, w, tuple([v // h for v in values])))
     return sorted(facets)
 
 
@@ -185,19 +189,16 @@ class FullEmbedding(
 def full_embedding(ctx: SemigroupContext) -> FullEmbedding:
     """Stack the facet functionals into an embedding.
 
-    The rows of T are the lattice rays of the dual cone; their values on
-    the generator coordinates are the generator images.  Verifies
+    The rows of T are the lattice rays of the dual cone; the facets' values
+    on the generators are the generator images.  Verifies
     injectivity on the generated group (T has full column rank) and
     nonnegativity of the generator images.
     """
     facets = _facets(ctx)
-    matrix_t = IntegerMatrix(tuple(w for _, _, w in facets))
+    matrix_t = IntegerMatrix(tuple(w for _, _, w, _ in facets))
     if matrix_rank(matrix_t.rows) != ctx.rank:
         raise ArithmeticError("stacked functionals do not separate the lattice")
-    functionals = tuple(
-        FacetFunctional(ray, m, tuple(sum(map(mul, w, c)) for c in ctx.generator_coords))
-        for ray, m, w in facets
-    )
+    functionals = tuple(FacetFunctional(ray, m, values) for ray, m, _, values in facets)
     images = tuple(zip(*(f.values_on_generators for f in functionals)))
     return FullEmbedding(functionals, matrix_t, images, ctx.rank)
 

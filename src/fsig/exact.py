@@ -9,8 +9,8 @@ all functions here are pure and thread-safe.
 Every elimination is fraction-free (Bareiss) and runs one loop, _bareiss:
 forward for rank and determinant, with rational rows first cleared of their
 denominators, and as the Gauss-Jordan pass of gauss_jordan, which gives the
-independent columns with a scaled inverse and has scaled_inverse as its
-square case.
+independent columns with a scaled inverse: the start of the double
+description.  No package code inverts a square matrix.
 
 The Hermite normal form convention used throughout the package: row-style,
 upper echelon, positive pivots, and every entry above a pivot reduced into
@@ -264,15 +264,6 @@ def gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, tuple[V
     a = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots, _, d = _bareiss(a, ncols, jordan=True)
     return pivots, d, tuple(tuple(row[ncols:]) for row in a)
-
-
-def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...] | None]:
-    """(d, B) with B @ A = A @ B = d * I and d = +-det A, or (0, None) if singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("scaled_inverse requires a square matrix")
-    pivots, d, inverse = gauss_jordan(rows)  # the square case: the left block ends as d * I
-    return (d, inverse) if len(pivots) == n else (0, None)
 
 
 def rational_determinant(rows: Sequence[Sequence]) -> Fraction:

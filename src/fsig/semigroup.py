@@ -22,7 +22,6 @@ from .exact import (
     _lattice_runs,
     _pivot_columns,
     hermite_basis,
-    lattice_coordinates,
 )
 
 
@@ -68,25 +67,19 @@ class SemigroupContext(NamedTuple):
 
     lattice is a Hermite basis of the group generated by the generators;
     rank is the number of basis rows, which equals the Krull dimension of
-    the associated monomial ring.  generator_coords caches each generator
-    expressed against the basis.
+    the associated monomial ring.  No generator is written in the basis:
+    the cone reads the generators' products with the basis rows.
     """
 
     presentation: SemigroupPresentation
     lattice: IntegerMatrix
     rank: int
-    generator_coords: tuple[Vector, ...]
 
 
 def build_context(presentation: SemigroupPresentation) -> SemigroupContext:
-    """Fix lattice coordinates for a presentation."""
-    matrix = IntegerMatrix(presentation.generators)
-    lattice = hermite_basis(matrix)
-    coords = tuple(lattice_coordinates(presentation.generators, lattice))
-    if None in coords:  # cannot happen: the basis spans the generators
-        g = presentation.generators[coords.index(None)]
-        raise InvalidPresentation(f"generator {g} escaped its own lattice")
-    return SemigroupContext(presentation, lattice, lattice.nrows, coords)
+    """Fix lattice coordinates for a presentation: the Hermite basis of its generators."""
+    lattice = hermite_basis(IntegerMatrix(presentation.generators))
+    return SemigroupContext(presentation, lattice, lattice.nrows)
 
 
 class NormalityVerdict(NamedTuple):

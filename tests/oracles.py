@@ -1,14 +1,17 @@
 """Reference decisions for the tests, independent of the code under test."""
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import le, mul
 from typing import Sequence
 
-from fsig.cone import full_embedding
+from fsig.cone import FacetFunctional, FullEmbedding, extreme_rays, full_embedding
 from fsig.exact import (
+    IntegerMatrix,
     Vector,
     determinant,
+    gauss_jordan,
+    lattice_coordinates,
     lattice_points_in_box,
     rational_determinant,
     vadd,
@@ -51,6 +54,46 @@ def is_natural_combination(v: Sequence[int], generators: Sequence[Vector]) -> bo
         return False
 
     return reach(target)
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...] | None]:
+    """(d, B) with B @ A = A @ B = d * I and d = +-det A, or (0, None) if singular.
+
+    The square case of exact.gauss_jordan: its left block ends as d * I.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("scaled_inverse requires a square matrix")
+    pivots, d, inverse = gauss_jordan(rows)
+    return (d, inverse) if len(pivots) == n else (0, None)
+
+
+def gram_inverse_embedding(ctx) -> FullEmbedding:
+    """Oracle for full_embedding: the facets from the generators' lattice coordinates.
+
+    The rows w of T are the primitive extreme rays of the dual of the cone
+    of the generator coordinates, and the generator images are their values
+    on those coordinates.  The ambient functional of w is y @ basis with
+    gram @ y = w, taken from one scaled inverse d * gram^-1 of the basis's
+    Gram matrix: d * y @ basis is a positive multiple g of its primitive ray,
+    over the denominator d / g.
+    """
+    basis = ctx.lattice.rows
+    coords = lattice_coordinates(ctx.presentation.generators, ctx.lattice)
+    d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
+    assert d > 0, "the Gram matrix of independent rows is positive definite"
+    facets = []
+    for w in extreme_rays(coords):
+        y = [dot(row, w) for row in inverse]  # d times the solution of gram @ y = w
+        scaled = [dot(y, column) for column in zip(*basis)]
+        g = gcd(*scaled)
+        facets.append((tuple(x // g for x in scaled), d // g, w))
+    facets.sort()
+    functionals = tuple(
+        FacetFunctional(ray, m, tuple(dot(w, c) for c in coords)) for ray, m, w in facets
+    )
+    images = tuple(zip(*(f.values_on_generators for f in functionals)))
+    return FullEmbedding(functionals, IntegerMatrix(w for _, _, w in facets), images, ctx.rank)
 
 
 def counted_by_enumeration(basis, bounds, avoid=()) -> int:

@@ -6,10 +6,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsig import cone
+import test_signature
+from fsig import cone, exact, semigroup
 from fsig.cone import (
     FullEmbedding,
     extreme_rays,
@@ -20,6 +21,7 @@ from fsig.exact import (
     IntegerMatrix,
     express_in_basis,
     hermite_basis,
+    lattice_coordinates,
     matrix_rank,
     primitive_vector,
     solve_linear_system,
@@ -29,7 +31,8 @@ from fsig.frobenius import count_aq
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import f_signature
 
-from oracles import dot, is_natural_combination
+from oracles import dot, gram_inverse_embedding, is_natural_combination
+from test_semigroup import SEEDS, sublattice_presentations
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 RESCALED = SemigroupPresentation(2, ((2, 0), (0, 2)), name="rescaled")
@@ -214,14 +217,16 @@ class TestFullEmbedding:
     def test_rows_are_the_lattice_rays(self, presentation):
         # each row of T is a primitive extreme ray of the cone of the generator
         # coordinates, and the functional takes the same values on the
-        # generators as the row takes on their coordinates
+        # generators as the row takes on their coordinates; the coordinates
+        # are read here, as full_embedding never writes a generator in them
         ctx = build_context(presentation)
+        coords = lattice_coordinates(presentation.generators, ctx.lattice)
         emb = full_embedding(ctx)
         rows = emb.matrix_T.rows
-        assert sorted(rows) == brute_rays(list(ctx.generator_coords), ctx.rank)
+        assert sorted(rows) == brute_rays(coords, ctx.rank)
         assert all(primitive_vector(w) == w for w in rows)
         for w, f in zip(rows, emb.functionals):
-            values = tuple(dot(w, c) for c in ctx.generator_coords)
+            values = tuple(dot(w, c) for c in coords)
             assert values == f.values_on_generators
             assert values == tuple(dot(f.coefficients, g) for g in presentation.generators)
 
@@ -244,6 +249,27 @@ class TestFullEmbedding:
             assert gcd(*f.ray) == 1 and f.denominator > 0
             assert f.denominator == lcm(*(c.denominator for c in coefficients))
             assert tuple(dot(coefficients, b) for b in ctx.lattice.rows) == w
+
+    def test_two_eliminations_and_no_coordinates(self, monkeypatch):
+        # one elimination starts the double description, one checks the rank
+        # of T; the build writes no generator in lattice coordinates
+        bareiss, calls = exact._bareiss, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return bareiss(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was written in lattice coordinates")
+
+        monkeypatch.setattr(exact, "_bareiss", counted)
+        for module in (exact, semigroup, cone):
+            monkeypatch.setattr(module, "lattice_coordinates", refuse, raising=False)
+        for presentation in [FREE2, RESCALED, segre_generators(3, 3), veronese_generators(3, 3)]:
+            ctx = build_context(presentation)
+            calls.clear()
+            full_embedding(ctx)
+            assert len(calls) == 2, presentation.name
 
     def test_rescaled_presentation_embeds_onto_unit_vectors(self):
         emb = full_embedding(build_context(RESCALED))
@@ -292,6 +318,36 @@ class TestFullEmbedding:
                 emb.num_coordinates, emb.image_generators
             )
             assert f_signature(image_presentation).value == f_signature(p).value
+
+
+def assert_same_embedding(presentation):
+    ctx = build_context(presentation)
+    emb, reference = full_embedding(ctx), gram_inverse_embedding(ctx)
+    for field, ours, theirs in zip(FullEmbedding._fields, emb, reference):
+        assert ours == theirs, (presentation, field)
+
+
+class TestGramInverseRoute:
+    """full_embedding equals the facets read through lattice coordinates and a Gram inverse."""
+
+    @pytest.mark.parametrize("presentation", test_signature.FAMILY_MEMBERS, ids=lambda p: p.name)
+    def test_families(self, presentation):
+        assert_same_embedding(presentation)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_corpus(self, seed):
+        for presentation in test_signature.random_presentations(seed, 40):
+            assert_same_embedding(presentation)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sublattice_presentations())
+    @example(RESCALED)
+    @example(SemigroupPresentation(3, ((2, 0, 2), (0, 2, 2), (2, 2, 4))))
+    @example(segre_generators(2, 2))
+    @example(segre_generators(2, 3))
+    def test_sublattices(self, presentation):
+        # lattices of rank below the ambient rank or of index > 1 in their span
+        assert_same_embedding(presentation)
 
 
 class TestLazyImageLattice:

@@ -27,14 +27,13 @@ from fsig.exact import (
     matrix_rank,
     primitive_vector,
     rational_determinant,
-    scaled_inverse,
     solve_integer_combination,
     solve_linear_system,
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.frobenius import MonomialIdeal, count_lattice_points, socle_witness
 from fsig.semigroup import build_context
-from oracles import counted_by_enumeration
+from oracles import counted_by_enumeration, scaled_inverse
 
 
 def brute_force_in_span(v, rows, coeff_bound=8):

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from fsig.cone import full_embedding
 from fsig.errors import EmptyPresentation, InvalidPresentation
-from fsig.exact import determinant, express_in_basis, lattice_points_in_box
+from fsig.exact import (
+    determinant,
+    express_in_basis,
+    lattice_coordinates,
+    lattice_points_in_box,
+    matrix_rank,
+    vadd,
+    vscale,
+)
 from fsig.families import segre_generators, veronese_generators
 from fsig.semigroup import (
     NormalityVerdict,
@@ -73,6 +81,40 @@ def small_presentations(draw):
     return SemigroupPresentation(r, tuple(gens))
 
 
+@st.composite
+def sublattice_presentations(draw):
+    """Presentations whose lattice may have rank below r or index > 1 in its span.
+
+    Each generator is a nonnegative combination of k <= r spanning vectors,
+    all scaled by a common factor.
+    """
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(1, r))
+    vector = st.tuples(*[st.integers(0, 2)] * r).filter(any)
+    spanning = draw(st.lists(vector, min_size=k, max_size=k))
+    scale = draw(st.integers(1, 3))
+    combos = st.tuples(*[st.integers(0, 2)] * k).filter(any)
+    gens = set()
+    for combo in draw(st.lists(combos, min_size=1, max_size=6, unique=True)):
+        g = (0,) * r
+        for c, v in zip(combo, spanning):
+            g = vadd(g, vscale(scale * c, v))
+        gens.add(g)
+    return SemigroupPresentation(r, tuple(sorted(gens)))
+
+
+def assert_generators_in_lattice(presentation):
+    """Every generator is c @ basis for integer coordinates c, and the basis has full rank."""
+    ctx = build_context(presentation)
+    assert ctx.rank == ctx.lattice.nrows == matrix_rank(presentation.generators)
+    for g, c in zip(presentation.generators, lattice_coordinates(presentation.generators, ctx.lattice)):
+        assert c is not None, f"generator {g} escaped its own lattice"
+        point = (0,) * presentation.ambient_rank
+        for a, row in zip(c, ctx.lattice.rows):
+            point = vadd(point, vscale(a, row))
+        assert point == g
+
+
 class TestPresentation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyPresentation):
@@ -128,6 +170,24 @@ class TestBuildContext:
     def test_segre_rank(self):
         # the ring of segre(2,2) has dimension 2 + 2 - 1 = 3
         assert build_context(segre_generators(2, 2)).rank == 3
+
+    # build_context keeps only the basis; that it spans every generator is checked here
+    @pytest.mark.parametrize("presentation", FAMILY_MEMBERS, ids=lambda p: p.name)
+    def test_family_generators_lie_in_the_lattice(self, presentation):
+        assert_generators_in_lattice(presentation)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_generators_lie_in_the_lattice(self, seed):
+        for presentation in random_presentations(seed, 40):
+            assert_generators_in_lattice(presentation)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sublattice_presentations())
+    @example(SemigroupPresentation(2, ((2, 0), (0, 2))))
+    @example(SemigroupPresentation(3, ((2, 2, 2), (4, 4, 4))))
+    @example(segre_generators(2, 3))
+    def test_generators_lie_in_the_lattice(self, presentation):
+        assert_generators_in_lattice(presentation)
 
 
 class TestMember:
