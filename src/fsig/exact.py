@@ -324,13 +324,11 @@ def extended_gcd_vector(values: Sequence[int]) -> tuple[int, Vector]:
 def _lattice_runs(basis: IntegerMatrix, bounds: list[int]) -> Iterator[tuple[Vector, int, int]]:
     """Runs (point, lo, hi): the box points point + c * basis.rows[-1], lo <= c <= hi.
 
-    The basis must be in Hermite form with a row, and the bounds nonnegative.
-    The first d-1 coefficients are iterated pivot by pivot, pruned by the
-    coordinates each makes final; the box cuts the last coefficient c to an
-    interval.  Points first differ at a pivot: they come in lexicographic order.
+    The basis must be in Hermite form with a row, one nonnegative bound per
+    column.  The first d-1 coefficients are iterated pivot by pivot, pruned by
+    the coordinates each makes final; the box cuts the last coefficient c to
+    an interval.  Points first differ at a pivot: they come in lexicographic order.
     """
-    if basis.ncols != len(bounds):
-        raise ValueError("bounds length does not match basis width")
     rows, pivots = basis.rows, _pivot_columns(basis)
     last, step = pivots[-1], rows[-1][pivots[-1]]
     tail = [(j, rows[-1][j]) for j in range(last + 1, len(bounds))]
@@ -364,6 +362,8 @@ def lattice_points_in_box(basis: IntegerMatrix, bounds: Sequence[int]) -> Iterat
     lexicographic order: the runs of _lattice_runs, expanded.
     """
     bounds = list(map(index, bounds))
+    if basis.nrows and basis.ncols != len(bounds):
+        raise ValueError("bounds length does not match basis width")
     if any(b < 0 for b in bounds):
         return
     if basis.nrows == 0:

@@ -35,7 +35,6 @@ from .exact import (
     Vector,
     _lattice_runs,
     _pivot_columns,
-    express_in_basis,
     vadd,
     vscale,
 )
@@ -127,16 +126,13 @@ def socle_witness(emb: FullEmbedding) -> Vector:
 
 
 class MonomialIdeal(NamedTuple):
-    """A monomial (semigroup) ideal, as two generator tuples.
+    """The ideal of the semigroup elements that do not divide bound = t*mu.
 
-    bounds holds t*mu for each not-dividing summand, whose generators are the
-    semigroup elements not dividing t*mu; generators holds the explicit
-    generators.  Membership of u in the ideal's q-th Frobenius power is: u
-    componentwise dominates q times some minimal generator.
+    Membership of u in its q-th Frobenius power is: u componentwise
+    dominates q times some minimal generator.
     """
 
-    bounds: tuple[Vector, ...] = ()
-    generators: tuple[Vector, ...] = ()
+    bound: Vector
 
     @staticmethod
     def not_dividing(mu: Sequence[int], t: int) -> "MonomialIdeal":
@@ -146,24 +142,16 @@ class MonomialIdeal(NamedTuple):
         mu = tuple(map(index, mu))
         if any(x < 1 for x in mu):
             raise ValueError("the witness monomial must be strictly positive")
-        return MonomialIdeal(bounds=(vscale(t, mu),))
-
-    @staticmethod
-    def generated_by(vectors: Sequence[Sequence[int]]) -> "MonomialIdeal":
-        return MonomialIdeal(generators=tuple(tuple(map(index, v)) for v in vectors))
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return MonomialIdeal(self.bounds + other.bounds, self.generators + other.generators)
+        return MonomialIdeal(vscale(t, mu))
 
     def minimal_generators(self, emb: FullEmbedding) -> tuple[Vector, ...]:
         """Minimal monomial generating set.
 
-        For a bound t*mu the minimal generators are the minimal semigroup
-        elements u with u not componentwise below t*mu; each such element is
-        the sum of a generator image and an element below t*mu, which bounds
-        the search box.  A box point u >= g, for a generator image g, with
-        u - g not below t*mu is skipped: u - g is then a box point too, and
-        below u.
+        The minimal generators are the minimal semigroup elements u with u
+        not componentwise below t*mu; each such element is the sum of a
+        generator image and an element below t*mu, which bounds the search
+        box.  A box point u >= g, for a generator image g, with u - g not
+        below t*mu is skipped: u - g is then a box point too, and below u.
 
         The box is walked by the runs of exact._lattice_runs, a packed point
         stepping by the packed last Hermite row.  Fields are w = b.bit_length()
@@ -173,33 +161,25 @@ class MonomialIdeal(NamedTuple):
         2^(w-1) + v_j - u_j in [1, 2^w), so no borrow crosses a field, and its
         guard bit is set exactly when u_j <= v_j.  Only kept points are unpacked.
         """
-        n, images = emb.num_coordinates, emb.image_generators
-        candidates: list[Vector] = []
-        gamma = [max(g[j] for g in images) for j in range(n)]
+        n, images, tmu = emb.num_coordinates, emb.image_generators, self.bound
         last = emb.image_lattice.rows[-1]
-        for tmu in self.bounds:
-            bounds = vadd(tmu, gamma)
-            width = max(bounds).bit_length() + 1
-            guard, mask = _pack([1 << width - 1] * n, width), (1 << width) - 1
-            top, step = _pack(tmu, width) | guard, _pack(last, width)
-            # (guard - g) + u keeps every guard bit iff g <= u; u - g <= t*mu iff u <= t*mu + g
-            pairs = [(guard - _pack(g, width), _pack(vadd(tmu, g), width) | guard) for g in images]
-            for point, lo, hi in _lattice_runs(emb.image_lattice, list(bounds)):
-                first = _pack(vadd(point, vscale(lo, last)), width)
-                for u in range(first, first + (hi - lo + 1) * step, step):
-                    if (top - u) & guard == guard:  # u <= t*mu, u = 0 included
-                        continue
-                    for g, v in pairs:
-                        if (g + u) & guard == guard and (v - u) & guard != guard:
-                            break
-                    else:
-                        candidates.append(tuple(u >> j * width & mask for j in range(n)))
-        for u in self.generators:
-            if len(u) != n:
-                raise ValueError(f"generator {u} has wrong length")
-            if any(x < 0 for x in u) or express_in_basis(u, emb.image_lattice) is None:
-                raise ValueError(f"generator {u} is not a semigroup element")
-            candidates.append(u)
+        bounds = vadd(tmu, [max(g[j] for g in images) for j in range(n)])
+        width = max(bounds).bit_length() + 1
+        guard, mask = _pack([1 << width - 1] * n, width), (1 << width) - 1
+        top, step = _pack(tmu, width) | guard, _pack(last, width)
+        # (guard - g) + u keeps every guard bit iff g <= u; u - g <= t*mu iff u <= t*mu + g
+        pairs = [(guard - _pack(g, width), _pack(vadd(tmu, g), width) | guard) for g in images]
+        candidates: list[Vector] = []
+        for point, lo, hi in _lattice_runs(emb.image_lattice, list(bounds)):
+            first = _pack(vadd(point, vscale(lo, last)), width)
+            for u in range(first, first + (hi - lo + 1) * step, step):
+                if (top - u) & guard == guard:  # u <= t*mu, u = 0 included
+                    continue
+                for g, v in pairs:
+                    if (g + u) & guard == guard and (v - u) & guard != guard:
+                        break
+                else:
+                    candidates.append(tuple(u >> j * width & mask for j in range(n)))
         return _minimalize(candidates)
 
 
@@ -223,12 +203,17 @@ def _minimalize(vectors: list[Vector]) -> tuple[Vector, ...]:
 
 
 def hk_colength(
-    emb: FullEmbedding, ideal: MonomialIdeal, q: int, budget: int = 5_000_000
+    emb: FullEmbedding, generators: Sequence[Sequence[int]], q: int, budget: int = 5_000_000
 ) -> int:
-    """Colength of the q-th Frobenius power of an m-primary monomial ideal.
+    """Colength of the q-th Frobenius power of the m-primary ideal the generators generate.
+
+    That each generator lies in the image semigroup is the caller's
+    contract, not checked here.  A non-minimal generator changes no count:
+    a point that dominates q times it dominates q times a generator below
+    it, whose k_g (below) is no larger.
 
     The colength is the number of image-group points in N^n that dominate
-    no Frobenius generator F (q times a minimal generator), counted by
+    no Frobenius generator F (q times a generator), counted by
     count_lattice_points over an explicit box; for a non-normal input that
     is the colength in its normalization.  The count stops with
     BudgetExceeded, whose reached is the count so far, once it passes budget.
@@ -247,11 +232,6 @@ def hk_colength(
     q = index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    return _colength(emb, ideal.minimal_generators(emb), q, budget)
-
-
-def _colength(emb: FullEmbedding, generators: Sequence[Vector], q: int, budget: int) -> int:
-    """hk_colength of the ideal with these minimal generators, unvalidated."""
     frobenius_gens = [vscale(q, g) for g in generators]
     supports = {frozenset(j for j, x in enumerate(g) if x): g for g in emb.image_generators}
     box = [-1] * emb.num_coordinates
@@ -307,8 +287,8 @@ def hk_difference_identity(
     gens = MonomialIdeal.not_dividing(mu, t).minimal_generators(emb)
     # mu is a sum of generator images, so t*mu needs no membership test
     enlarged = _minimalize(list(gens) + [vscale(t, mu)])
-    not_dividing = _colength(emb, gens, q, budget)
-    with_witness = _colength(emb, enlarged, q, budget)
+    not_dividing = hk_colength(emb, gens, q, budget)
+    with_witness = hk_colength(emb, enlarged, q, budget)
     lhs, rhs = not_dividing - with_witness, count_aq(emb, q).a_q
     return HKIdentity(lhs, rhs, lhs == rhs, mu, not_dividing, with_witness)
 
@@ -359,11 +339,11 @@ def count_lattice_points(
     avoid = [tuple(map(index, v)) for v in avoid]
     if any(len(v) != ncols for v in avoid):
         raise ValueError("avoid vector length does not match the box")
-    if any(b < 0 for b in bounds):
-        return 0
     d = basis.nrows
     if d and basis.ncols != ncols:
         raise ValueError("bounds length does not match basis width")
+    if any(b < 0 for b in bounds):
+        return 0
     rows = basis.rows
     pivots = _pivot_columns(basis)
     # level[j]: the last row with a nonzero entry in column j, -1 for none.
@@ -425,7 +405,7 @@ def count_lattice_points(
     memo: dict[tuple, int] = {}  # (k < d - 1, live bitmask, open coordinates) -> count below
     fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
     lines: dict[tuple, tuple] = {}  # (kept bitmask, line base) -> prefix sums along the line
-    members: dict[int, list] = {}  # kept bitmask -> its items, for the rows above d - 2
+    members: dict[int, list] = {}  # kept bitmask -> its items
 
     def front(live) -> list:
         # sorted on leaf, a vector comes after every vector below it there; each
@@ -457,12 +437,12 @@ def count_lattice_points(
     delta = [rows[d - 2][j] for j in leaf]
     lead = next((i for i, s in enumerate(delta) if s), None)
 
-    def run(bits: int, live, base: tuple, ma: int, mb: int, room) -> int:
-        """The last-level count of the kept set bits summed over the line's
-        points ma <= m < mb, or its first partial sum past room."""
+    def run(bits: int, items, base: tuple, ma: int, mb: int, room) -> int:
+        """The last-level count of the kept set bits, with items, summed over
+        the line's points ma <= m < mb, or its first partial sum past room."""
         vectors = fronts.get(bits)
         if vectors is None:
-            vectors = fronts[bits] = front([item for item in live if item[2] & bits])
+            vectors = fronts[bits] = front(items)
         table = lines.get((bits, base))
         if table is None:  # the one state of a line with delta 0, or empty sums from ma
             table = count_last(base, vectors) if lead is None else (ma, [0], [0])
@@ -503,12 +483,12 @@ def count_lattice_points(
         count = kept = blocked = 0
         for c, bit, block in ends:
             if lo < c and not blocked:
+                items = members.get(kept)
+                if items is None:
+                    items = members[kept] = [item for item in live if item[2] & kept]
                 if k == d - 2:
-                    count += run(kept, live, base, lo + shift, c + shift, room - count)
+                    count += run(kept, items, base, lo + shift, c + shift, room - count)
                 else:
-                    items = members.get(kept)
-                    if items is None:
-                        items = members[kept] = [item for item in live if item[2] & kept]
                     for b in range(lo, c):
                         moved = [a + b * s for a, s in zip(point, row)]
                         count += rec(k + 1, moved, items, kept, room - count)

@@ -1,6 +1,7 @@
 """Reference decisions for the tests, independent of the code under test."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import le, mul
 from typing import Sequence
@@ -123,6 +124,16 @@ def closure_aq(presentation, q: int) -> int:
                 seen.add(nxt)
                 frontier.append(nxt)
     return len(seen)
+
+
+def class_group_torsion(emb: FullEmbedding) -> int:
+    """h = g_T, the gcd of the d x d minors of T: the order of the torsion of
+    the class group Z^n / T(M).
+
+    The torsion cover is etale in codimension 1 of degree h, so s <= 1/h
+    (Carvajal-Rojas, Schwede and Tucker, 2018); for a square T, s = 1/|det T| = 1/h.
+    """
+    return gcd(*(determinant(minor) for minor in combinations(emb.matrix_T.rows, emb.rank)))
 
 
 def minimal_elements(vectors: Sequence[Vector]) -> tuple[Vector, ...]:

@@ -931,6 +931,15 @@ class TestCountLatticePoints:
         with pytest.raises(ValueError):
             count_lattice_points(IntegerMatrix(((1, 1),)), (2, 2), [(1,)])
 
+    @pytest.mark.parametrize("bounds", [(-1, 2, 3), (2, 3, -1), (-1,)])
+    def test_box_length_checked_before_a_negative_bound(self, bounds):
+        # an empty box of the wrong length is still the wrong length
+        basis = IntegerMatrix(((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="bounds length"):
+            count_lattice_points(basis, bounds)
+        with pytest.raises(ValueError, match="bounds length"):
+            list(lattice_points_in_box(basis, bounds))
+
     @staticmethod
     def calls_in_frobenius(basis, bounds, avoid):
         """The count, and the Python calls it makes in fsig.frobenius."""

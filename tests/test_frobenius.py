@@ -56,16 +56,18 @@ def emb_of(p):
     return full_embedding(build_context(p))
 
 
-def closure_colength(emb, ideal, q, budget=200_000):
-    """Reference colength: closure search from 0 over the generator images.
+def closure_colength(emb, generators, q, budget=200_000):
+    """Reference colength of the ideal the generators generate: closure
+    search from 0 over the generator images.
 
     The ideal is an up-set under componentwise order, so a branch stops as
-    soon as it enters the ideal.  An ideal with no generator supported
-    inside the support of some generator image has an infinite quotient and
-    raises NotPrimary; the search counts the semigroup the generators
-    generate, which is the lattice-point count only for normal inputs.
+    soon as it enters the ideal; every generator is tested, minimal or not.
+    An ideal with no generator supported inside the support of some
+    generator image has an infinite quotient and raises NotPrimary; the
+    search counts the semigroup the generators generate, which is the
+    lattice-point count only for normal inputs.
     """
-    gens = [vscale(q, g) for g in ideal.minimal_generators(emb)]
+    gens = [vscale(q, g) for g in generators]
     for g in emb.image_generators:
         if not any(all(g[j] for j, x in enumerate(f) if x) for f in gens):
             raise NotPrimary(f"nothing in the ideal along {g}")
@@ -89,24 +91,27 @@ def closure_colength(emb, ideal, q, budget=200_000):
     return len(seen)
 
 
-def colength_or_not_primary(colength, emb, ideal, q):
+def colength_or_not_primary(colength, emb, generators, q):
     try:
-        return colength(emb, ideal, q)
+        return colength(emb, generators, q)
     except NotPrimary:
         return NotPrimary
 
 
 @st.composite
 def small_ideals(draw):
-    """A small normal embedding, q <= 4, and an ideal of either kind or both."""
+    """A small normal embedding, q <= 4, and the generators of an ideal: the
+    minimal generators of a not-dividing ideal, explicit semigroup elements
+    (not minimalized), or both."""
     emb = emb_of(draw(st.sampled_from(SMALL_NORMAL)))
     n = emb.num_coordinates
     images = emb.image_generators
-    parts = []
+    generators = []
     if draw(st.booleans()):
         mu = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
-        parts.append(MonomialIdeal.not_dividing(mu, draw(st.integers(1, 2))))
-    if not parts or draw(st.booleans()):
+        ideal = MonomialIdeal.not_dividing(mu, draw(st.integers(1, 2)))
+        generators += ideal.minimal_generators(emb)
+    if not generators or draw(st.booleans()):
         combos = st.lists(st.integers(0, 2), min_size=len(images), max_size=len(images))
         vectors = []
         for combo in draw(st.lists(combos, max_size=3)):
@@ -116,11 +121,8 @@ def small_ideals(draw):
             vectors.append(u)
         if draw(st.booleans()):  # a power of every generator makes it primary
             vectors += [vscale(draw(st.integers(1, 3)), g) for g in images]
-        parts.append(MonomialIdeal.generated_by(vectors))
-    ideal = parts[0]
-    for part in parts[1:]:
-        ideal = ideal + part
-    return emb, ideal, draw(st.integers(1, 4))
+        generators += vectors
+    return emb, generators, draw(st.integers(1, 4))
 
 
 @st.composite
@@ -259,11 +261,6 @@ class TestMonomialIdeal:
             ideal = MonomialIdeal.not_dividing(mu, t)
             assert ideal.minimal_generators(emb) == ((t + 1,),)
 
-    def test_sum_with_witness_generator(self):
-        emb = emb_of(FREE1)
-        ideal = MonomialIdeal.not_dividing((1,), 1) + MonomialIdeal.generated_by([(1,)])
-        assert ideal.minimal_generators(emb) == ((1,),)
-
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize(
         "presentation",
@@ -315,11 +312,6 @@ class TestMonomialIdeal:
         expected = minimal_elements(candidates)
         assert MonomialIdeal.not_dividing(mu, t).minimal_generators(emb) == expected
 
-    def test_explicit_generator_validation(self):
-        emb = emb_of(veronese_generators(2, 2))
-        with pytest.raises(ValueError):
-            MonomialIdeal.generated_by([(1, 0)]).minimal_generators(emb)  # odd sum
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             MonomialIdeal.not_dividing((1, 1), 0)
@@ -332,39 +324,34 @@ class TestHkColength:
         # not dividing mu^t is the ideal (x^(t+1)): colengths q(t+1) and q
         emb = emb_of(FREE1)
         mu = socle_witness(emb)
+        gens = MonomialIdeal.not_dividing(mu, 1).minimal_generators(emb)
         for q in range(1, 6):
-            ideal = MonomialIdeal.not_dividing(mu, 1)
-            assert hk_colength(emb, ideal, q) == 2 * q
-            enlarged = ideal + MonomialIdeal.generated_by([mu])
-            assert hk_colength(emb, enlarged, q) == q
+            assert hk_colength(emb, gens, q) == 2 * q
+            assert hk_colength(emb, [*gens, mu], q) == q
 
     def test_veronese_difference_is_a3(self):
         emb = emb_of(veronese_generators(2, 2))
         mu = socle_witness(emb)
-        ideal = MonomialIdeal.not_dividing(mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([mu])
-        diff = hk_colength(emb, ideal, 3) - hk_colength(emb, enlarged, 3)
+        gens = MonomialIdeal.not_dividing(mu, 1).minimal_generators(emb)
+        diff = hk_colength(emb, gens, 3) - hk_colength(emb, [*gens, mu], 3)
         assert diff == 5 == count_aq(emb, 3).a_q
 
     def test_segre_difference_is_a2(self):
         emb = emb_of(segre_generators(2, 2))
         mu = socle_witness(emb)
-        ideal = MonomialIdeal.not_dividing(mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([mu])
-        diff = hk_colength(emb, ideal, 2) - hk_colength(emb, enlarged, 2)
+        gens = MonomialIdeal.not_dividing(mu, 1).minimal_generators(emb)
+        diff = hk_colength(emb, gens, 2) - hk_colength(emb, [*gens, mu], 2)
         assert diff == 6 == count_aq(emb, 2).a_q
 
     def test_non_primary_ideal_detected(self):
         emb = emb_of(FREE2)
-        ideal = MonomialIdeal.generated_by([(1, 0)])  # misses the y-axis
         with pytest.raises(NotPrimary):
-            hk_colength(emb, ideal, 2)
+            hk_colength(emb, [(1, 0)], 2)  # misses the y-axis
 
     def test_oversized_quotient_hits_budget(self):
         emb = emb_of(FREE2)
-        ideal = MonomialIdeal.generated_by([(40, 0), (0, 40)])
         with pytest.raises(BudgetExceeded) as caught:
-            hk_colength(emb, ideal, 2, budget=50)
+            hk_colength(emb, [(40, 0), (0, 40)], 2, budget=50)
         # the counter stops after the first run of the last coefficient
         # that carries it past the budget: rows of 80 points each
         assert caught.value.reached == 80
@@ -372,24 +359,23 @@ class TestHkColength:
 
     def test_small_colength_of_the_maximal_ideal(self):
         emb = emb_of(FREE1)
-        assert hk_colength(emb, MonomialIdeal.generated_by([(1,)]), 5) == 5
+        assert hk_colength(emb, [(1,)], 5) == 5
 
     @pytest.mark.parametrize("q", [2**31 + 1, 2**32 + 3])
     def test_coordinates_past_32_bits_hit_budget(self, q):
         # the colength is q; fixed 32-bit packing fields once returned 0 and 3
         emb = emb_of(FREE1)
         with pytest.raises(BudgetExceeded):
-            hk_colength(emb, MonomialIdeal.generated_by([(1,)]), q, budget=1000)
+            hk_colength(emb, [(1,)], q, budget=1000)
 
     def test_unit_ideal_has_colength_zero(self):
         for p in (FREE1, FREE2, segre_generators(2, 2), veronese_generators(3, 2)):
             emb = emb_of(p)
-            unit = MonomialIdeal.generated_by([(0,) * emb.num_coordinates])
-            assert hk_colength(emb, unit, 3) == 0
+            assert hk_colength(emb, [(0,) * emb.num_coordinates], 3) == 0
 
     def test_zero_ideal_is_not_primary(self):
         with pytest.raises(NotPrimary):
-            hk_colength(emb_of(FREE2), MonomialIdeal.generated_by([]), 2)
+            hk_colength(emb_of(FREE2), [], 2)
 
     def test_non_normal_input_counts_in_the_normalization(self):
         # (1, 0) is in the normalization N^2 but not in the semigroup: the
@@ -398,10 +384,9 @@ class TestHkColength:
         emb = emb_of(SemigroupPresentation(2, ((2, 0), (0, 1), (1, 1))))
         identity = hk_difference_identity(emb, 1, 3)
         assert identity[3:] == ((2, 4), 135, 126)
-        ideal = MonomialIdeal.not_dividing(identity.mu, 1)
-        enlarged = ideal + MonomialIdeal.generated_by([identity.mu])
-        assert closure_colength(emb, ideal, 3) == 128
-        assert closure_colength(emb, enlarged, 3) == 119
+        gens = MonomialIdeal.not_dividing(identity.mu, 1).minimal_generators(emb)
+        assert closure_colength(emb, gens, 3) == 128
+        assert closure_colength(emb, [*gens, identity.mu], 3) == 119
         assert identity.lhs == 135 - 126 == count_aq(emb, 3).a_q == identity.rhs
 
     @pytest.mark.parametrize(
@@ -422,12 +407,25 @@ class TestHkColength:
         # the two colengths, then count_aq's box
         assert counted == [identity.not_dividing, identity.with_witness, identity.rhs]
 
+    def test_the_identity_counts_through_hk_colength(self, monkeypatch):
+        # both colengths go through the public function, so a wrapper over
+        # it (as the benchmark's tracer installs) sees every colength counted
+        returned = []
+
+        def recording(*args, **kwargs):
+            returned.append(hk_colength(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(frobenius, "hk_colength", recording)
+        identity = hk_difference_identity(emb_of(segre_generators(2, 2)), 1, 3)
+        assert returned == [identity.not_dividing, identity.with_witness]
+
     @settings(max_examples=80, deadline=None, database=None)
     @given(small_ideals())
     def test_matches_closure_oracle(self, case):
-        emb, ideal, q = case
-        got = colength_or_not_primary(hk_colength, emb, ideal, q)
-        assert got == colength_or_not_primary(closure_colength, emb, ideal, q)
+        emb, generators, q = case
+        got = colength_or_not_primary(hk_colength, emb, generators, q)
+        assert got == colength_or_not_primary(closure_colength, emb, generators, q)
 
 
 class TestDifferenceIdentity:

@@ -85,17 +85,15 @@ class Three:
 VERONESE22 = fsig.veronese_generators(2, 2)
 CONTEXT = fsig.build_context(VERONESE22)
 EMBEDDING = fsig.full_embedding(CONTEXT)
+NOT_DIVIDING = MonomialIdeal.not_dividing(socle_witness(EMBEDDING), 1).minimal_generators(EMBEDDING)
 INTEGER_PARAMETERS = {
     "hk_difference_identity-t": lambda t: fsig.hk_difference_identity(EMBEDDING, t, 2),
     "hk_difference_identity-q": lambda q: fsig.hk_difference_identity(EMBEDDING, 1, q),
-    "hk_colength": lambda q: hk_colength(
-        EMBEDDING, MonomialIdeal.not_dividing(socle_witness(EMBEDDING), 1), q
-    ),
+    "hk_colength": lambda q: hk_colength(EMBEDDING, NOT_DIVIDING, q),
     "count_aq": lambda q: fsig.count_aq(EMBEDDING, q),
     "brute_force_aq": lambda q: fsig.brute_force_aq(VERONESE22, q),
     "MonomialIdeal.not_dividing": lambda t: MonomialIdeal.not_dividing((1, 1), t),
     "MonomialIdeal.not_dividing-mu": lambda x: MonomialIdeal.not_dividing((1, x), 1),
-    "MonomialIdeal.generated_by": lambda x: MonomialIdeal.generated_by([(1, x)]),
     "check_normal": lambda bound: fsig.check_normal(CONTEXT, EMBEDDING.functionals, bound),
     "SemigroupPresentation": lambda rank: fsig.SemigroupPresentation(
         rank, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -162,12 +160,9 @@ RECORDS = {
         ],
     ),
     FrobeniusCount: ({"q": 3, "a_q": 5, "ratio": Fraction(5, 9)}, []),
-    MonomialIdeal: ({"bounds": ((2, 2),), "generators": ((1, 2),)}, []),
+    MonomialIdeal: ({"bound": (2, 2)}, []),
 }
-DEFAULTS = {
-    fsig.SemigroupPresentation: {"name": None},
-    MonomialIdeal: {"bounds": (), "generators": ()},
-}
+DEFAULTS = {fsig.SemigroupPresentation: {"name": None}}
 # built on first read and kept in the instance dict
 LAZY = {FullEmbedding: ("image_lattice",), SignaturePolytope: ("vertices", "_homogeneous")}
 

@@ -31,7 +31,7 @@ from fsig.semigroup import (
 )
 from fsig.signature import f_signature
 
-from oracles import dot, is_natural_combination
+from oracles import class_group_torsion, dot, is_natural_combination
 from test_signature import FAMILY_MEMBERS, random_presentations
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
@@ -323,15 +323,27 @@ class TestCheckNormal:
             check_normal(ctx, facets, 0)
 
 
+def assert_torsion_bound(result, presentation):
+    """s*h <= 1 for h the order of the class group's torsion, and s = 1/h when n = d."""
+    emb = result.embedding
+    h = class_group_torsion(emb)
+    assert result.value * h <= 1, presentation
+    if emb.num_coordinates == emb.rank:
+        assert result.value == Fraction(1, h), presentation
+
+
 class TestSignatureOneIffCertifiedFree:
-    """s = 1 iff the ring is regular (Huneke-Leuschke), here iff the semigroup is free."""
+    """s = 1 iff the ring is regular (Huneke-Leuschke), here iff the semigroup
+    is free; and s <= 1/h, with equality for a simplicial cone."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_inputs_normal_up_to_bound_6(self, seed):
         for p in random_presentations(seed, 40):
             ctx, facets = facets_of(p)
             if check_normal(ctx, facets, 6).normal:
-                assert (f_signature(p).value == 1) == _certified_free(ctx, facets), p
+                result = f_signature(p)
+                assert (result.value == 1) == _certified_free(ctx, facets), p
+                assert_torsion_bound(result, p)
 
     @pytest.mark.parametrize(
         "presentation",
@@ -341,7 +353,9 @@ class TestSignatureOneIffCertifiedFree:
     def test_families(self, presentation):
         # normal by construction
         free = _certified_free(*facets_of(presentation))
-        assert (f_signature(presentation).value == 1) == free
+        result = f_signature(presentation)
+        assert (result.value == 1) == free
+        assert_torsion_bound(result, presentation)
 
 
 class TestNaturalCombination:
