@@ -10,18 +10,18 @@ all of those (Fukuda-Prodon); tight sets are kept as bitmasks, so this needs
 no rank test.  One fraction-free Gauss-Jordan pass on the transposed
 constraints both chooses the start constraints (its pivot columns) and
 gives the start rays (the rows of its right block), so rays are built in
-integer arithmetic throughout.
+integer arithmetic throughout.  Each ray carries its values on every
+constraint, so an insertion reads them, and they are returned with the rays.
 
 The cone is cut out in the Hermite basis B of the generated lattice: the
 constraints are the products P = G B^T of the generators with the basis
 rows, and each extreme ray y is the ambient functional x = y @ B on the
-lattice's span.  Over h, the gcd of its values on the generators, it takes
-coprime integer values on them, so each functional is integral and
+lattice's span.  Over h, the gcd of its values P @ y, it takes coprime
+integer values on the generators, so each functional is integral and
 primitive on the generated group, which makes the stacked map T injective
-with a full image.  Its values on the basis rows, B @ x / h, are its row of
-T, and x / gcd(x) over h / gcd(x) is its primitive ambient ray over an
-integer denominator: no generator is written in lattice coordinates and no
-matrix is inverted.
+with a full image.  Its row of T is gram @ y / h = B @ x / h, gram = B B^T,
+and x / gcd(x) over h / gcd(x) is its primitive ambient ray: no generator
+is written in lattice coordinates and no matrix is inverted.
 The facet list is the irredundant (minimal) one, ordered lexicographically
 by primitive ambient ray so that all downstream output is deterministic.
 """
@@ -39,62 +39,63 @@ from .exact import (
     gauss_jordan,
     hermite_basis,
     matrix_rank,
-    primitive_vector,
     vadd,
     vscale,
-    vsub,
 )
 from .semigroup import SemigroupContext
 
 
-def extreme_rays(constraints: list[Vector]) -> list[Vector]:
-    """Extreme rays of the pointed cone {x : a . x >= 0 for every row a}.
+def extreme_rays(constraints: list[Vector]) -> list[tuple[Vector, Vector]]:
+    """Extreme rays of the pointed cone {x : a . x >= 0 for every row a}, with their values.
 
     The constraint rows are integer vectors and must have full column rank
-    (this is what makes the cone pointed).  Returns primitive integer ray
-    representatives, sorted.
+    (this is what makes the cone pointed).  Returns, sorted, the pairs of a
+    primitive integer ray and its values a . ray on the constraints, in order.
     """
     if not constraints:
         raise ValueError("extreme_rays requires at least one constraint")
     m = len(constraints[0])
 
-    # Maximal independent subset, each row independent of those before it:
-    # the pivot columns of the transpose.  Simplicial start: ray j satisfies
-    # base[k] . ray = delta_{kj}, and row j of the right block E is d * ray,
-    # as E @ base^T = d * I; it is read with the sign of d.  Each ray carries
-    # the bitmask of the processed constraints tight at it.
+    # The pivot columns of the transpose: a maximal independent subset, each
+    # row independent of those before.  Row j of the right block E is d * ray
+    # j, as E @ base^T = d * I, so ray j has value |d| / gcd(E_j) on base row j
+    # and 0 on the others.  A ray is [ray, values, bitmask of tight processed rows].
     chosen, d, start = gauss_jordan(list(zip(*constraints)))
     if len(chosen) < m:
         raise ValueError("constraint system is rank deficient; cone is not pointed")
     sign = 1 if d > 0 else -1
     chosen_bits = sum(1 << i for i in chosen)
-    rays: list[tuple[Vector, int]] = [
-        (primitive_vector([sign * x for x in row]), chosen_bits & ~(1 << i))
-        for i, row in zip(chosen, start)
-    ]
+    rays = []
+    for i, row in zip(chosen, start):
+        g = gcd(*row)
+        r = tuple([sign * x // g for x in row])
+        vs = [0 if chosen_bits >> k & 1 else sum(map(mul, a, r)) for k, a in enumerate(constraints)]
+        vs[i] = sign * d // g
+        rays.append([r, vs, chosen_bits & ~(1 << i)])
 
-    for i, a in enumerate(constraints):
+    for i in range(len(constraints)):
         if chosen_bits >> i & 1:
             continue
-        values = [sum(map(mul, a, r)) for r, _ in rays]
-        negative = [(n, rays[n]) for n, v in enumerate(values) if v < 0]
-        fresh = []
-        for p, (rp, tp) in enumerate(rays):
-            if values[p] <= 0:
-                continue
-            for n, (rn, tn) in negative:
-                common = tp & tn
-                if common.bit_count() < m - 2 or any(
-                    k != p and k != n and t & common == common
-                    for k, (_, t) in enumerate(rays)
-                ):
+        bit, fresh = 1 << i, []
+        if negative := [ray for ray in rays if ray[1][i] < 0]:
+            tight = [t for _, _, t in rays]
+            for rp, vp, tp in rays:
+                if (a := vp[i]) <= 0:
                     continue
-                combo = vsub(vscale(values[p], rn), vscale(values[n], rp))
-                fresh.append((primitive_vector(combo), common | 1 << i))
-        rays = [
-            (r, t | 1 << i if v == 0 else t) for (r, t), v in zip(rays, values) if v >= 0
-        ] + fresh
-    return sorted(r for r, _ in rays)
+                for rn, vn, tn in negative:  # adjacent: no third ray tight on common
+                    common, b = tp & tn, vn[i]
+                    if common.bit_count() < m - 2 or sum(t & common == common for t in tight) > 2:
+                        continue
+                    combo = [a * x - b * y for x, y in zip(rn, rp)]
+                    g = gcd(*combo)
+                    vs = [(a * x - b * y) // g for x, y in zip(vn, vp)]
+                    fresh.append([tuple([x // g for x in combo]), vs, common | bit])
+            rays = [ray for ray in rays if ray[1][i] >= 0]
+        for ray in rays:
+            if not ray[1][i]:
+                ray[2] |= bit
+        rays += fresh
+    return sorted((r, tuple(vs)) for r, vs, _ in rays)
 
 
 def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector, Vector]]:
@@ -102,27 +103,28 @@ def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector, Vector]]:
 
     y is a primitive extreme ray of the cone {y : P @ y >= 0}, P = G @ B^T
     the products of the generators G with the basis rows B, and x = y @ B
-    is its ambient functional, so P @ y = G @ x.  A generator with lattice
-    coordinates c is c @ B, so P = C @ gram and the cone is the image under
-    gram^-1 of the dual cone in lattice coordinates: gram @ y = B @ x is a
-    positive multiple of that cone's primitive ray w, and the multiple is
-    h = gcd(P @ y), as C @ w has gcd 1.  Both integrality arguments:
-    w = B @ x / h is whole because every basis row is an integer combination
-    of generators, so each b . x is an integer combination of the g . x;
-    and the functional x / h has the primitive ray x / gcd(x) over the
+    is its ambient functional, so P @ y = G @ x: the double description
+    hands these values over with y.  A generator with lattice coordinates c
+    is c @ B, so P = C @ gram, gram = B @ B^T, and the cone is the image
+    under gram^-1 of the dual cone in lattice coordinates: gram @ y = B @ x
+    is a positive multiple of that cone's primitive ray w, and the multiple
+    is h = gcd(P @ y), as C @ w has gcd 1.  Both integrality arguments:
+    w = gram @ y / h is whole because every basis row is an integer
+    combination of generators, so each b . x is an integer combination of
+    the g . x; and x / h has the primitive ray x / gcd(x) over the
     denominator m = h / gcd(x), whole because gcd(x) divides every g . x.
     """
     if ctx.rank == 0:
         raise ValueError("generators span only the zero cone")
     basis = ctx.lattice.rows
     products = [[sum(map(mul, g, b)) for b in basis] for g in ctx.presentation.generators]
+    gram = [[sum(map(mul, b, c)) for c in basis] for b in basis]
     columns = list(zip(*basis))
     facets = []
-    for y in extreme_rays(products):
-        values = [sum(map(mul, p, y)) for p in products]
+    for y, values in extreme_rays(products):
         x = [sum(map(mul, y, col)) for col in columns]
         h, g = gcd(*values), gcd(*x)
-        w = tuple([sum(map(mul, b, x)) // h for b in basis])
+        w = tuple([sum(map(mul, row, y)) // h for row in gram])
         facets.append((tuple([a // g for a in x]), h // g, w, tuple([v // h for v in values])))
     return sorted(facets)
 

@@ -22,8 +22,8 @@ count_lattice_points, lives with its callers in frobenius.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, index, sub
+from math import lcm, prod
+from operator import add, index
 from typing import Iterator, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -56,10 +56,6 @@ def vadd(u: Sequence, v: Sequence) -> tuple:
     return tuple(map(add, u, v))
 
 
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(map(sub, u, v))
-
-
 def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
@@ -69,41 +65,58 @@ def hermite_basis(m: IntegerMatrix) -> IntegerMatrix:
 
     The result has full row rank equal to the rank of m and the same integer
     row span; a zero matrix yields an empty basis of rank 0.  Idempotent.
+    Column by column, one _clear_column pass clears each entry below the
+    pivot in one step and drops the rows that vanish; the pivot row, made
+    positive, then reduces the entries above it into [0, pivot).
     """
     if m.nrows < 1:
         raise ValueError("hermite_basis requires at least one row")
-    work = [list(r) for r in m.rows]
-    n = len(work)
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        # Euclid on the column below r until at most one nonzero entry is left.
-        while True:
-            nz = [i for i in range(r, n) if work[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(work[i][col]), i))
-            if i0 != r:
-                work[r], work[i0] = work[i0], work[r]
-            others = [i for i in range(r + 1, n) if work[i][col] != 0]
-            if not others:
-                break
-            p = work[r][col]
-            for i in others:
-                q = work[i][col] // p
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-        if r < n and work[r][col] != 0:
-            if work[r][col] < 0:
-                work[r] = [-a for a in work[r]]
-            p = work[r][col]
-            for i in range(r):
-                q = work[i][col] // p  # floor division puts the entry in [0, p)
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-            r += 1
-            if r == n:
-                break
-    return IntegerMatrix(tuple(tuple(row) for row in work[:r]))
+    rows, basis = [list(r) for r in m.rows if any(r)], []
+    for col in range(m.ncols):
+        pivot, rows = _clear_column(rows, col)
+        if pivot is not None:
+            if (p := pivot[col]) < 0:
+                pivot, p = [-a for a in pivot], -p
+            for i, row in enumerate(basis):
+                if q := row[col] // p:  # floor division puts the entry in [0, p)
+                    basis[i] = [a - q * b for a, b in zip(row, pivot)]
+            basis.append(pivot)
+    return IntegerMatrix(tuple(map(tuple, basis)))
+
+
+def _clear_column(rows: list[list[int]], col: int) -> tuple[list[int] | None, list[list[int]]]:
+    """(pivot, rest): the first row nonzero in column col, and the other nonzero rows cleared there.
+
+    Each later nonzero entry b under the pivot's a takes one step: a row
+    subtraction when a divides b, else the unimodular step of the extended gcd
+    g = s a + t b: pivot <- s pivot + t row, row <- (a/g) row - (b/g) pivot.
+    """
+    pivot, rest = None, []
+    for row in rows:
+        if not (b := row[col]):
+            rest.append(row)
+        elif pivot is None:
+            pivot = row
+        else:
+            if b % (a := pivot[col]):
+                g, s, t = _euclid(a, b)
+                u, v, pairs = a // g, b // g, list(zip(pivot, row))
+                pivot, row = [s * x + t * y for x, y in pairs], [u * y - v * x for x, y in pairs]
+            else:
+                q = b // a
+                row = [y - q * x for x, y in zip(pivot, row)]
+            if any(row):
+                rest.append(row)
+    return pivot, rest
+
+
+def _euclid(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s a + t b, a gcd of a and b of either sign; b != 0."""
+    s, s1, g, r = 1, 0, a, b
+    while r:
+        q = g // r
+        g, r, s, s1 = r, g - q * r, s1, s - q * s1
+    return g, s, (g - s * a) // b
 
 
 def clear_denominators(row: Sequence) -> tuple[int, list[int]]:
@@ -261,7 +274,7 @@ def gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, tuple[V
     E @ M are d * I, with d the last pivot (1 with none).
     """
     n, ncols = len(rows), len(rows[0]) if rows else 0
-    a = [[index(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    a = [[*map(index, row), *(0,) * i, 1, *(0,) * (n - i - 1)] for i, row in enumerate(rows)]
     pivots, _, d = _bareiss(a, ncols, jordan=True)
     return pivots, d, tuple(tuple(row[ncols:]) for row in a)
 
@@ -275,49 +288,18 @@ def rational_determinant(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(determinant(cleared), prod(scales))
 
 
-def primitive_vector(vec: Sequence) -> Vector:
-    """The unique primitive integer vector that is a positive multiple of vec.
-
-    Entries are ints or Fractions; the denominators are cleared in integers.
-    """
-    try:
-        g = gcd(*vec)
-    except TypeError:  # a Fraction entry: clear the denominators first
-        g = gcd(*(vec := clear_denominators(vec)[1]))
-    if g == 0:
-        raise ValueError("the zero vector has no primitive form")
-    return tuple(x // g for x in vec)
-
-
 def extended_gcd_vector(values: Sequence[int]) -> tuple[int, Vector]:
     """gcd g of values and integer coefficients c with c . values = g."""
     if not values:
         raise ValueError("extended_gcd_vector requires at least one value")
-    g = 0
-    coeffs = [0] * len(values)
+    g, coeffs = 0, [0] * len(values)
     for k, a in enumerate(values):
-        if a == 0:
-            continue
-        if g == 0:
-            g = abs(a)
-            coeffs = [0] * len(values)
-            coeffs[k] = 1 if a > 0 else -1
-            continue
-        # Euclid on (g, a), tracking coefficients of g only.
-        old_r, r = g, a
-        old_s, s = 1, 0
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        # old_s * g + t * a = old_r with t = (old_r - old_s * g) / a
-        t = (old_r - old_s * g) // a
-        coeffs = [old_s * c for c in coeffs]
-        coeffs[k] += t
-        g = old_r
-        if g < 0:
-            g = -g
-            coeffs = [-c for c in coeffs]
+        if a:
+            g, s, t = _euclid(g, a)
+            coeffs = [s * c for c in coeffs]
+            coeffs[k] += t
+            if g < 0:
+                g, coeffs = -g, [-c for c in coeffs]
     return g, tuple(coeffs)
 
 

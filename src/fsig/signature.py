@@ -59,7 +59,7 @@ class SignaturePolytope(
             raise Unbounded("signature polytope contains a line: its rows have rank below d")
         # homogenized, a . x <= b reads b t - a . x >= 0; t >= 0 closes the cone
         homogenized = [tuple(-x for x in a) + (b,) for a, b in self.half_spaces]
-        rays = extreme_rays(homogenized + [(0,) * d + (1,)])
+        rays = [r for r, _ in extreme_rays(homogenized + [(0,) * d + (1,)])]
         if matrix_rank(rays) != d + 1:
             raise Unbounded("signature polytope is not full-dimensional")
         # vertex r / t is sorted as the integer row r * (L / t), L the lcm of the scales

@@ -3,23 +3,41 @@
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
-from operator import le, mul
+from operator import le, mul, sub
 from typing import Sequence
 
 from fsig.cone import FacetFunctional, FullEmbedding, extreme_rays, full_embedding
 from fsig.exact import (
     IntegerMatrix,
     Vector,
+    clear_denominators,
     determinant,
     gauss_jordan,
     lattice_coordinates,
     lattice_points_in_box,
     rational_determinant,
     vadd,
-    vsub,
 )
 from fsig.semigroup import build_context
 from fsig.signature import _facets, _pulled, _tight_sets
+
+
+def vsub(u: Sequence, v: Sequence) -> tuple:
+    return tuple(map(sub, u, v))
+
+
+def primitive_vector(vec: Sequence) -> Vector:
+    """The unique primitive integer vector that is a positive multiple of vec.
+
+    Entries are ints or Fractions; the denominators are cleared in integers.
+    """
+    try:
+        g = gcd(*vec)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        g = gcd(*(vec := clear_denominators(vec)[1]))
+    if g == 0:
+        raise ValueError("the zero vector has no primitive form")
+    return tuple(x // g for x in vec)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -69,6 +87,40 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ..
     return (d, inverse) if len(pivots) == n else (0, None)
 
 
+def euclid_hermite_basis(m: IntegerMatrix) -> IntegerMatrix:
+    """Oracle for exact.hermite_basis: Euclid on each column, the smallest entry as pivot.
+
+    Column by column, the row below the finished ones whose entry is smallest
+    in absolute value becomes the pivot and every other row below is reduced
+    by it, until one nonzero entry is left; the pivot is then made positive
+    and every entry above it reduced into [0, pivot).  The Hermite normal
+    form is unique, so the two must agree row for row.
+    """
+    work = [list(r) for r in m.rows]
+    n, r = len(work), 0
+    for col in range(m.ncols):
+        while True:
+            nz = [i for i in range(r, n) if work[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(work[i][col]), i))
+            work[r], work[i0] = work[i0], work[r]
+            others = [i for i in range(r + 1, n) if work[i][col] != 0]
+            if not others:
+                break
+            for i in others:
+                q = work[i][col] // work[r][col]
+                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+        if r < n and work[r][col] != 0:
+            if work[r][col] < 0:
+                work[r] = [-a for a in work[r]]
+            for i in range(r):
+                q = work[i][col] // work[r][col]
+                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+            r += 1
+    return IntegerMatrix(tuple(tuple(row) for row in work[:r]))
+
+
 def gram_inverse_embedding(ctx) -> FullEmbedding:
     """Oracle for full_embedding: the facets from the generators' lattice coordinates.
 
@@ -84,7 +136,7 @@ def gram_inverse_embedding(ctx) -> FullEmbedding:
     d, inverse = scaled_inverse([[dot(bi, bj) for bj in basis] for bi in basis])
     assert d > 0, "the Gram matrix of independent rows is positive definite"
     facets = []
-    for w in extreme_rays(coords):
+    for w, _ in extreme_rays(coords):
         y = [dot(row, w) for row in inverse]  # d times the solution of gram @ y = w
         scaled = [dot(y, column) for column in zip(*basis)]
         g = gcd(*scaled)

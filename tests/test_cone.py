@@ -23,7 +23,6 @@ from fsig.exact import (
     hermite_basis,
     lattice_coordinates,
     matrix_rank,
-    primitive_vector,
     solve_linear_system,
 )
 from fsig.families import segre_generators, veronese_generators
@@ -31,7 +30,7 @@ from fsig.frobenius import count_aq
 from fsig.semigroup import SemigroupPresentation, build_context
 from fsig.signature import f_signature
 
-from oracles import dot, gram_inverse_embedding, is_natural_combination
+from oracles import dot, gram_inverse_embedding, is_natural_combination, primitive_vector
 from test_semigroup import SEEDS, sublattice_presentations
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
@@ -76,16 +75,21 @@ def pointed_systems(draw):
     return rows
 
 
+def rays_of(constraints):
+    """The rays of extreme_rays, without their values."""
+    return [ray for ray, _ in extreme_rays(constraints)]
+
+
 class TestExtremeRays:
     def test_orthant_is_self_dual(self):
-        assert extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+        assert rays_of([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
 
     def test_redundant_constraint_ignored(self):
-        assert extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+        assert rays_of([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
 
     def test_three_dimensional_cross_check(self):
         # cone x>=0, y>=0, z>=0, x+y-z>=0: the last cuts the (0,0,1) ray
-        rays = extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+        rays = rays_of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
         for r in rays:
             assert all(dot(c, r) >= 0 for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
         assert sorted(rays) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
@@ -103,7 +107,7 @@ class TestExtremeRays:
             constraints = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(k)]
             if matrix_rank(constraints) < m:
                 continue
-            assert extreme_rays(constraints) == brute_rays(constraints, m)
+            assert rays_of(constraints) == brute_rays(constraints, m)
             checked += 1
 
     def test_duplicated_and_positively_combined_rows(self):
@@ -124,7 +128,7 @@ class TestExtremeRays:
             extra = [a, tuple(rng.randint(1, 3) * x + y for x, y in zip(a, b))]
             for row in extra:
                 constraints.insert(rng.randint(0, len(constraints)), row)
-            assert extreme_rays(constraints) == brute_rays(constraints, m)
+            assert rays_of(constraints) == brute_rays(constraints, m)
             checked += 1
 
     @pytest.mark.parametrize(
@@ -139,16 +143,39 @@ class TestExtremeRays:
         constraints = [(0,) * d + (1,)]
         for w in t_rows:
             constraints += [w + (0,), tuple(-a for a in w) + (1,)]
-        rays = extreme_rays(constraints)
+        rays = rays_of(constraints)
         assert rays == brute_rays(constraints, d + 1)
         assert all(r[-1] > 0 for r in rays)
+        assert_values_are_the_products(constraints)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(pointed_systems())
     def test_matches_oracle_on_any_pointed_cone(self, constraints):
         m = len(constraints[0])
         assume(matrix_rank(constraints) == m)
-        assert extreme_rays(constraints) == brute_rays(constraints, m)
+        assert rays_of(constraints) == brute_rays(constraints, m)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pointed_systems())
+    def test_values_are_the_products_on_any_pointed_cone(self, constraints):
+        # a combined ray combines its parents' values; each must still be a . ray
+        assume(matrix_rank(constraints) == len(constraints[0]))
+        assert_values_are_the_products(constraints)
+
+    @settings(max_examples=60, deadline=None)
+    @given(test_signature.slab_polytopes())
+    def test_values_are_the_products_on_homogenized_slabs(self, polytope):
+        # the system signature._homogeneous hands to the double description
+        d = polytope.dim
+        constraints = [tuple(-x for x in a) + (b,) for a, b in polytope.half_spaces]
+        assert_values_are_the_products(constraints + [(0,) * d + (1,)])
+
+
+def assert_values_are_the_products(constraints):
+    pairs = extreme_rays(constraints)
+    assert [ray for ray, _ in pairs] == sorted({ray for ray, _ in pairs})
+    for ray, values in pairs:
+        assert values == tuple(dot(a, ray) for a in constraints), ray
 
 
 def dual_cone_rays(presentation):

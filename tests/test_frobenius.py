@@ -16,7 +16,6 @@ from fsig.exact import (
     lattice_points_in_box,
     vadd,
     vscale,
-    vsub,
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
 from fsig.frobenius import (
@@ -29,7 +28,7 @@ from fsig.frobenius import (
     socle_witness,
 )
 from fsig.semigroup import SemigroupPresentation, build_context
-from oracles import closure_aq, counted_by_enumeration, minimal_elements
+from oracles import closure_aq, counted_by_enumeration, minimal_elements, vsub
 
 FREE1 = SemigroupPresentation(1, ((1,),), name="free(1)")
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")

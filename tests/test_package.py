@@ -2,7 +2,12 @@
 README's library example."""
 
 import ast
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -316,3 +321,32 @@ def test_readme_library_example_runs():
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert "from fsig import segre_generators, f_signature" in example
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_runs_on_the_python_floor(tmp_path):
+    # no stdlib call newer than requires-python: where that interpreter runs,
+    # selftest passes on it and a signature run prints what this one prints
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"', pyproject)[1]
+    python = shutil.which(f"python{floor}")
+    version = "import sys; print('%d.%d' % sys.version_info[:2])"
+    probe = python and subprocess.run(
+        [python, "-c", version], capture_output=True, text=True, timeout=60
+    )
+    if not probe or probe.returncode or probe.stdout.strip() != floor:
+        pytest.skip(f"no working python{floor} on PATH")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+
+    def cli(interpreter, *args):
+        proc = subprocess.run(
+            [interpreter, "-m", "fsig.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (interpreter, args, proc.stderr)
+        return proc.stdout
+
+    assert "checks passed" in cli(python, "selftest")
+    cli(python, "family", "segre", "2", "3", "--emit", "segre23.json")
+    printed = cli(python, "signature", "segre23.json", "--json")
+    assert json.loads(printed)["signature"] == "11/24"
+    assert printed == cli(sys.executable, "signature", "segre23.json", "--json")
