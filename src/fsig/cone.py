@@ -13,15 +13,15 @@ gives the start rays (the rows of its right block), so rays are built in
 integer arithmetic throughout.  Each ray carries its values on every
 constraint, so an insertion reads them, and they are returned with the rays.
 
-The cone is cut out in the Hermite basis B of the generated lattice: the
-constraints are the products P = G B^T of the generators with the basis
-rows, and each extreme ray y is the ambient functional x = y @ B on the
-lattice's span.  Over h, the gcd of its values P @ y, it takes coprime
-integer values on the generators, so each functional is integral and
-primitive on the generated group, which makes the stacked map T injective
-with a full image.  Its row of T is gram @ y / h = B @ x / h, gram = B B^T,
-and x / gcd(x) over h / gcd(x) is its primitive ambient ray: no generator
-is written in lattice coordinates and no matrix is inverted.
+The cone is cut out by the generators G themselves when they span R^r, and
+each extreme ray x is the ambient functional.  Otherwise it is cut out by
+their products P = G B^T with the rows of the Hermite basis B of the
+generated lattice, and each extreme ray y gives the ambient functional
+x = y @ B.  Over h, the gcd of its values G @ x, each functional is integral
+and primitive on the generated group, which makes the stacked map T
+injective with a full image.  Its row of T is B @ x / h, and x / gcd(x) over
+h / gcd(x) is its primitive ambient ray: no generator is written in lattice
+coordinates, no Gram matrix is built and no matrix is inverted.
 The facet list is the irredundant (minimal) one, ordered lexicographically
 by primitive ambient ray so that all downstream output is deterministic.
 """
@@ -52,8 +52,8 @@ def extreme_rays(constraints: list[Vector]) -> list[tuple[Vector, Vector]]:
     (this is what makes the cone pointed).  Returns, sorted, the pairs of a
     primitive integer ray and its values a . ray on the constraints, in order.
     """
-    if not constraints:
-        raise ValueError("extreme_rays requires at least one constraint")
+    if len(set(map(len, constraints))) != 1:
+        raise ValueError("extreme_rays requires constraint rows, all of the same length")
     m = len(constraints[0])
 
     # The pivot columns of the transpose: a maximal independent subset, each
@@ -101,31 +101,33 @@ def extreme_rays(constraints: list[Vector]) -> list[tuple[Vector, Vector]]:
 def _facets(ctx: SemigroupContext) -> list[tuple[Vector, int, Vector, Vector]]:
     """(ambient ray, denominator m, row w of T, values on the generators) per facet, sorted.
 
-    y is a primitive extreme ray of the cone {y : P @ y >= 0}, P = G @ B^T
-    the products of the generators G with the basis rows B, and x = y @ B
-    is its ambient functional, so P @ y = G @ x: the double description
-    hands these values over with y.  A generator with lattice coordinates c
-    is c @ B, so P = C @ gram, gram = B @ B^T, and the cone is the image
-    under gram^-1 of the dual cone in lattice coordinates: gram @ y = B @ x
-    is a positive multiple of that cone's primitive ray w, and the multiple
-    is h = gcd(P @ y), as C @ w has gcd 1.  Both integrality arguments:
-    w = gram @ y / h is whole because every basis row is an integer
-    combination of generators, so each b . x is an integer combination of
-    the g . x; and x / h has the primitive ray x / gcd(x) over the
-    denominator m = h / gcd(x), whole because gcd(x) divides every g . x.
+    At full rank the double description runs on the generators G, and a
+    primitive extreme ray x of {x : G @ x >= 0} is the ambient functional.
+    Otherwise it runs on P = G @ B^T, B the basis rows, and a primitive ray y
+    of {y : P @ y >= 0} gives x = y @ B, with P @ y = G @ x.  Either way it
+    hands over the values G @ x.  A generator with lattice coordinates c is
+    c @ B, so G @ x = C @ (B @ x): B @ x is h = gcd(G @ x) times the primitive
+    ray w of the dual cone in lattice coordinates, as C @ w has gcd 1.  Both
+    integrality arguments: w = B @ x / h is whole because each basis row is
+    an integer combination of generators, and so each b . x of the g . x; and
+    x / h is x / gcd(x) over m = h / gcd(x), whole because gcd(x) divides
+    every g . x (at full rank gcd(x) = 1).
     """
     if ctx.rank == 0:
         raise ValueError("generators span only the zero cone")
-    basis = ctx.lattice.rows
-    products = [[sum(map(mul, g, b)) for b in basis] for g in ctx.presentation.generators]
-    gram = [[sum(map(mul, b, c)) for c in basis] for b in basis]
+    basis, generators = ctx.lattice.rows, ctx.presentation.generators
+    full = ctx.rank == ctx.presentation.ambient_rank
+    constraints = generators if full else [[sum(map(mul, g, b)) for b in basis] for g in generators]
     columns = list(zip(*basis))
     facets = []
-    for y, values in extreme_rays(products):
-        x = [sum(map(mul, y, col)) for col in columns]
-        h, g = gcd(*values), gcd(*x)
-        w = tuple([sum(map(mul, row, y)) // h for row in gram])
-        facets.append((tuple([a // g for a in x]), h // g, w, tuple([v // h for v in values])))
+    for x, values in extreme_rays(constraints):
+        h = m = gcd(*values)
+        if not full:  # the ray is y: its ambient functional y @ B, made primitive
+            x = [sum(map(mul, x, col)) for col in columns]
+            g = gcd(*x)
+            x, m = tuple([a // g for a in x]), h // g
+        w = tuple([sum(map(mul, b, x)) // m for b in basis])  # B @ x / h before x is divided by g
+        facets.append((x, m, w, tuple([v // h for v in values])))
     return sorted(facets)
 
 

@@ -170,15 +170,9 @@ def determinant(m: IntegerMatrix | Sequence[Sequence[int]]) -> int:
 
 
 def _pivot_columns(basis: IntegerMatrix) -> list[int]:
-    pivots = []
-    for row in basis.rows:
-        for j, entry in enumerate(row):
-            if entry != 0:
-                pivots.append(j)
-                break
-        else:
-            raise ValueError("basis contains a zero row")
-    return pivots
+    if not all(map(any, basis.rows)):
+        raise ValueError("basis contains a zero row")
+    return [next(j for j, entry in enumerate(row) if entry) for row in basis.rows]
 
 
 def lattice_coordinates(vectors: Sequence, basis: IntegerMatrix) -> list[Vector | None]:
@@ -250,11 +244,7 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fracti
         raise ValueError("solve_linear_system expects a square system")
     work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
         if pivot is None:
             return None
         work[col], work[pivot] = work[pivot], work[col]

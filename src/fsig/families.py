@@ -7,6 +7,7 @@ values are exact.
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import index
 
 from .errors import InvalidParams
 from .exact import Vector
@@ -27,9 +28,9 @@ def eulerian(d: int, s: int) -> int:
     A(m,k) = k A(m-1,k) + (m-k+1) A(m-1,k-1), keeping only the columns
     k <= s; zero outside 1 <= s <= d.
     """
-    if d < 1:
+    if (d := index(d)) < 1:
         raise ValueError("d must be a positive integer")
-    if s < 1 or s > d:
+    if (s := index(s)) < 1 or s > d:
         return 0
     row = [0, 1] + [0] * (s - 1)  # row[k] = A(m, k), starting at m = 1
     for m in range(2, d + 1):
@@ -50,7 +51,7 @@ def segre_generators(r: int, s: int) -> SemigroupPresentation:
 
     r*s generators e_i + f_j in N^(r+s); the ring has dimension r + s - 1.
     """
-    if r < 2 or s < 2:
+    if (r := index(r)) < 2 or (s := index(s)) < 2:
         raise InvalidParams("segre requires r >= 2 and s >= 2")
     gens = []
     for i in range(r):
@@ -73,7 +74,7 @@ def _compositions(total: int, parts: int):
 
 def veronese_generators(d: int, n: int) -> SemigroupPresentation:
     """All degree-n monomials in d variables, as exponent vectors."""
-    if d < 1 or n < 1:
+    if (d := index(d)) < 1 or (n := index(n)) < 1:
         raise InvalidParams("veronese requires d >= 1 and n >= 1")
     gens: tuple[Vector, ...] = tuple(_compositions(n, d))
     return SemigroupPresentation(d, gens, name=f"veronese({d},{n})")
@@ -81,9 +82,9 @@ def veronese_generators(d: int, n: int) -> SemigroupPresentation:
 
 def segre_aq_closed_form(r: int, s: int, q: int) -> int:
     """Closed-form free rank of the Segre product at q."""
-    if r < 2 or s < 2:
+    if (r := index(r)) < 2 or (s := index(s)) < 2:
         raise InvalidParams("segre requires r >= 2 and s >= 2")
-    if q < 1:
+    if (q := index(q)) < 1:
         raise ValueError("q must be a positive integer")
     d = r + s - 1
     return sum(
@@ -94,7 +95,7 @@ def segre_aq_closed_form(r: int, s: int, q: int) -> int:
 
 def segre_signature(r: int, s: int) -> Fraction:
     """F-signature of the Segre product: A(r+s-1, s) / (r+s-1)!."""
-    if r < 2 or s < 2:
+    if (r := index(r)) < 2 or (s := index(s)) < 2:
         raise InvalidParams("segre requires r >= 2 and s >= 2")
     d = r + s - 1
     return Fraction(eulerian(d, s), factorial(d))
@@ -106,7 +107,7 @@ def veronese_signature(d: int, n: int) -> Fraction:
     1/n for d >= 2.  For d = 1 the subring is generated by a single power
     and is itself a polynomial ring, so the signature is 1 regardless of n.
     """
-    if d < 1 or n < 1:
+    if (d := index(d)) < 1 or (n := index(n)) < 1:
         raise InvalidParams("veronese requires d >= 1 and n >= 1")
     if d == 1:
         return Fraction(1)

@@ -36,6 +36,11 @@ class SignaturePolytope(
     one of them.
     """
 
+    def __new__(cls, rows, dim):
+        if any(len(w) != dim for w in rows):
+            raise ValueError(f"slab rows must all have dim = {dim} entries")
+        return super().__new__(cls, rows, dim)
+
     @property
     def half_spaces(self) -> tuple[tuple[Vector, int], ...]:
         return tuple(h for w in self.rows for h in ((tuple(-a for a in w), 0), (w, 1)))

@@ -35,6 +35,8 @@ from test_semigroup import SEEDS, sublattice_presentations
 
 FREE2 = SemigroupPresentation(2, ((1, 0), (0, 1)), name="free(2)")
 RESCALED = SemigroupPresentation(2, ((2, 0), (0, 2)), name="rescaled")
+# full rank, index 2 in Z^3: the Hermite basis is not the identity
+INDEX_TWO = SemigroupPresentation(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)), name="index-two")
 
 
 def brute_rays(constraints, m):
@@ -97,6 +99,15 @@ class TestExtremeRays:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             extreme_rays([(1, 0), (2, 0)])
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [[(1, 0), (0, 1, 5)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1)], [(1, 0, 1), (0, 1)], []],
+    )
+    def test_rows_of_unequal_length_rejected(self, constraints):
+        # a ragged row is refused, not cut to the others' length by zip
+        with pytest.raises(ValueError, match="same length"):
+            extreme_rays(constraints)
 
     def test_matches_subset_enumeration_oracle(self):
         rng = random.Random(99)
@@ -369,12 +380,63 @@ class TestGramInverseRoute:
     @settings(max_examples=150, deadline=None)
     @given(sublattice_presentations())
     @example(RESCALED)
+    @example(veronese_generators(3, 2))
+    @example(INDEX_TWO)
     @example(SemigroupPresentation(3, ((2, 0, 2), (0, 2, 2), (2, 2, 4))))
     @example(segre_generators(2, 2))
     @example(segre_generators(2, 3))
     def test_sublattices(self, presentation):
-        # lattices of rank below the ambient rank or of index > 1 in their span
+        # lattices of rank below the ambient rank or of index > 1 in their
+        # span; the first three have full rank and a basis other than I
         assert_same_embedding(presentation)
+
+
+class TestConstraintRoute:
+    """The double description runs on the generators themselves when they span R^r,
+    and on their products with the Hermite basis rows otherwise."""
+
+    @staticmethod
+    def constraints_of(presentation, monkeypatch):
+        seen = []
+
+        def recording(constraints):
+            seen.append([tuple(row) for row in constraints])
+            return extreme_rays(constraints)
+
+        monkeypatch.setattr(cone, "extreme_rays", recording)
+        ctx = build_context(presentation)
+        emb = full_embedding(ctx)
+        assert len(seen) == 1
+        return ctx, emb, seen[0]
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [
+            FREE2,
+            RESCALED,
+            veronese_generators(3, 2),
+            INDEX_TWO,
+            SemigroupPresentation(3, ((1, 0, 0), (1, 2, 0), (0, 1, 3), (2, 1, 1)), "slanted"),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_full_rank_runs_on_the_generators(self, presentation, monkeypatch):
+        ctx, emb, constraints = self.constraints_of(presentation, monkeypatch)
+        assert ctx.rank == presentation.ambient_rank
+        assert constraints == list(presentation.generators)
+        # each extreme ray of the generators is a facet's ambient ray as it stands
+        assert sorted(f.ray for f in emb.functionals) == rays_of(presentation.generators)
+
+    @pytest.mark.parametrize(
+        "presentation",
+        [segre_generators(2, 3), SemigroupPresentation(3, ((2, 0, 2), (0, 2, 2), (2, 2, 4)))],
+        ids=lambda p: p.name or "sublattice",
+    )
+    def test_rank_deficient_runs_on_the_products(self, presentation, monkeypatch):
+        ctx, _, constraints = self.constraints_of(presentation, monkeypatch)
+        assert ctx.rank < presentation.ambient_rank
+        basis = ctx.lattice.rows
+        assert constraints == [tuple(dot(g, b) for b in basis) for g in presentation.generators]
 
 
 class TestLazyImageLattice:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fsig
+from fsig import families
 from fsig.cone import FacetFunctional, FullEmbedding
 from fsig.exact import IntegerMatrix
 from fsig.frobenius import FrobeniusCount, MonomialIdeal, hk_colength, socle_witness
@@ -103,6 +104,19 @@ INTEGER_PARAMETERS = {
     "SemigroupPresentation": lambda rank: fsig.SemigroupPresentation(
         rank, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ),
+    "segre_generators-r": lambda r: fsig.segre_generators(r, 2),
+    "segre_generators-s": lambda s: fsig.segre_generators(2, s),
+    "veronese_generators-d": lambda d: fsig.veronese_generators(d, 2),
+    "veronese_generators-n": lambda n: fsig.veronese_generators(2, n),
+    "segre_signature-r": lambda r: families.segre_signature(r, 2),
+    "segre_signature-s": lambda s: families.segre_signature(2, s),
+    "veronese_signature-d": lambda d: families.veronese_signature(d, 2),
+    "veronese_signature-n": lambda n: families.veronese_signature(2, n),
+    "segre_aq_closed_form-r": lambda r: families.segre_aq_closed_form(r, 2, 3),
+    "segre_aq_closed_form-s": lambda s: families.segre_aq_closed_form(2, s, 3),
+    "segre_aq_closed_form-q": lambda q: families.segre_aq_closed_form(2, 2, q),
+    "eulerian-d": lambda d: families.eulerian(d, 2),
+    "eulerian-s": lambda s: families.eulerian(4, s),
 }
 
 
@@ -155,7 +169,13 @@ RECORDS = {
         ],
     ),
     FullEmbedding: (dict(zip(FullEmbedding._fields, EMBEDDING)), []),
-    SignaturePolytope: ({"rows": POLYTOPE.rows, "dim": POLYTOPE.dim}, []),
+    SignaturePolytope: (
+        {"rows": POLYTOPE.rows, "dim": POLYTOPE.dim},
+        [
+            ({"rows": ((1, 0), (0, 1, 1))}, ValueError, "must all have dim = 2 entries"),
+            ({"rows": ((1, 0), (0,))}, ValueError, "must all have dim = 2 entries"),
+        ],
+    ),
     SignatureResult: (
         {"value": Fraction(1, 2), "polytope": POLYTOPE, "embedding": EMBEDDING},
         [
