@@ -77,7 +77,7 @@ def brute_force_aq(
     fields below 2^(w-1) + q - 1 < 2^w, so no carry crosses a field, and the sum
     left the box exactly when one of its guard bits is set.
     """
-    q = index(q)
+    q, budget = index(q), index(budget)
     if q < 1:
         raise ValueError("q must be a positive integer")
     emb = full_embedding(build_context(presentation))
@@ -229,7 +229,7 @@ def hk_colength(
     extreme g with g_j > 0, x_j < sum_g k_g g_j: the box is
     prod [0, sum_g k_g g_j - 1].
     """
-    q = index(q)
+    q, budget = index(q), index(budget)
     if q < 1:
         raise ValueError("q must be a positive integer")
     frobenius_gens = [vscale(q, g) for g in generators]
@@ -279,7 +279,7 @@ def hk_difference_identity(
     count_aq; the two agree for every q >= 1 and t >= 1.  budget caps each
     colength: BudgetExceeded is raised once a count passes it.
     """
-    t, q = index(t), index(q)
+    t, q, budget = index(t), index(q), index(budget)
     if t < 1 or q < 1:
         raise ValueError("t and q must be positive integers")
     mu = socle_witness(emb)
@@ -291,6 +291,18 @@ def hk_difference_identity(
     with_witness = hk_colength(emb, enlarged, q, budget)
     lhs, rhs = not_dividing - with_witness, count_aq(emb, q).a_q
     return HKIdentity(lhs, rhs, lhs == rhs, mu, not_dividing, with_witness)
+
+
+def _dominance(live: list, leaf: Sequence[int]) -> dict[int, tuple]:
+    """bit -> (v on leaf, its dominance mask: the bits of the other live vectors at most
+    v there, of those equal to v only the lower ones) per live item (v, end, bit)."""
+    projected = [(tuple(v[j] for j in leaf), bit) for v, _, bit in live]
+    groups: dict[tuple, int] = {}  # a vector on leaf -> the bits of the live vectors equal to it
+    for u, bit in projected:
+        groups[u] = groups.get(u, 0) | bit
+    keys = sorted(groups)  # a vector at most another on leaf comes before it
+    under = {u: sum(groups[w] for w in keys[:i] if all(map(le, w, u))) for i, u in enumerate(keys)}
+    return {bit: (u, under[u] | groups[u] & (bit - 1)) for u, bit in projected}
 
 
 def count_lattice_points(
@@ -309,15 +321,18 @@ def count_lattice_points(
     live avoid vector (one every final coordinate reaches) is kept on
     another, where those coordinates reach it too; outside it the vector is
     dropped.  A kept vector whose positive entries are all final blocks
-    every point of its interval.  Every row is swept by the sorted ends of
-    those intervals, not looped: between two ends the kept set is constant,
-    and only the runs of c that nothing blocks are counted, so a range the
-    box or a blocking vector excludes costs one floor division.  The last
-    row moves only the leaf, its pivot and the columns it makes final, and
-    counts the length of its runs.  A vector at least another on the leaf
-    cuts a sub-interval of the other's, so only the front, the live vectors
-    minimal on the leaf, is cut there, found once per live bitmask (one bit
-    per avoid vector, carried down the walk).
+    every point of its interval.  Every row above the last is swept by the
+    sorted ends of those intervals, not looped: between two ends the kept set
+    is constant, and only the runs of c that nothing blocks are counted, so a
+    range the box or a blocking vector excludes costs one floor division.
+    The last row moves only the leaf, its pivot and the columns it makes
+    final, where each live vector blocks and one at least another cuts a
+    sub-interval of the other's: only the front, one kept vector per minimal
+    value on the leaf, is cut.  It is the kept vectors whose dominance mask,
+    found once per count, misses the kept bitmask (one bit per avoid vector,
+    carried down the walk).  An interval that reaches the top of the box only
+    lowers the end of the count: only the shorter ones, which a falling
+    column ends, are sorted.
 
     The count below row k depends only on k, the coordinates still open
     there and the live bitmask, as rows k.. change and read no final
@@ -334,7 +349,7 @@ def count_lattice_points(
     carry it far past limit in one step, and a run stops at its first
     coefficient that passes it.  A branch cut short is not memoized.
     """
-    bounds = list(map(index, bounds))
+    bounds, room = list(map(index, bounds)), float("inf") if limit is None else index(limit)
     ncols = len(bounds)
     avoid = [tuple(map(index, v)) for v in avoid]
     if any(len(v) != ncols for v in avoid):
@@ -363,17 +378,18 @@ def count_lattice_points(
     # A row's coefficient c moves its pivot and the other columns of its final
     # set by s_j each; cutter reads them at positions at(j), split by sign.
     def cutter(k: int, top: Sequence[int], at=lambda j: j):
-        row, p = rows[k], pivots[k]
+        row, p, last = rows[k], pivots[k], k == d - 1
         step, p = row[p], at(p)
         rising = [(at(j), row[j]) for j in final[k] if row[j] > 0]
         falling = [(at(j), -row[j]) for j in final[k] if row[j] < 0]
 
-        def cut(u, items) -> tuple[int, list]:
-            # lo and the sorted ends of the intervals of c: (hi + 1, 0, 0) past
-            # the [lo, hi] that keeps u + c*row in the box on those columns, and
-            # per item (v, end, bit) whose [vlo, vhi] (vlo not cut to lo) with
-            # u + c*row >= v there is not empty, (vlo, bit, blocks) and, if
-            # vhi < hi, (vhi + 1, bit, -blocks); v blocks if end <= k
+        def cut(u, items):
+            # [lo, hi] keeps u + c*row in the box on those columns, [vlo, vhi] (vlo
+            # not cut to lo) keeps it >= v there.  The last row counts the c of
+            # [lo, hi] in no front vector's interval; above it, cut returns lo and
+            # the sorted ends: (hi + 1, 0, 0), and per item (v, end, bit) with [vlo,
+            # vhi] not empty, (vlo, bit, blocks) and, if vhi < hi, (vhi + 1, bit,
+            # -blocks); v blocks if end <= k.
             lo, hi = -(u[p] // step), (top[p] - u[p]) // step
             for j, s in rising:
                 a, b = -(u[j] // s), (top[j] - u[j]) // s
@@ -381,6 +397,23 @@ def count_lattice_points(
             for j, s in falling:
                 a, b = -((top[j] - u[j]) // s), u[j] // s
                 lo, hi = a if a > lo else lo, b if b < hi else hi
+            if last:  # every front vector blocks: [vlo, hi] lowers end, a shorter one is swept
+                end, short, count = hi + 1, [], 0
+                for v in items:
+                    vlo, vhi = -((u[p] - v[p]) // step), hi
+                    for j, s in rising:
+                        a = -((u[j] - v[j]) // s)
+                        vlo = a if a > vlo else vlo
+                    for j, s in falling:
+                        b = (u[j] - v[j]) // s
+                        vhi = b if b < vhi else vhi
+                    if vhi == hi:
+                        end = vlo if vlo < end else end
+                    elif vlo <= vhi:
+                        short.append((vlo, vhi + 1))
+                for a, b in sorted(short) if short else short:  # the uncovered part of [lo, end)
+                    count, lo = count + max(min(a, end) - lo, 0), max(b, lo)
+                return count + end - lo if end > lo else count
             ends = [(hi + 1, 0, 0)]
             if lo <= hi:
                 for v, end, bit in items:
@@ -401,33 +434,15 @@ def count_lattice_points(
         return cut
 
     leaf = [pivots[-1]] + final[-1]  # the last level reads points and vectors on leaf
-    cut_last = cutter(d - 1, [bounds[j] for j in leaf], leaf.index)
+    count_last = cutter(d - 1, [bounds[j] for j in leaf], leaf.index)
+    below = _dominance(live, leaf)  # bit -> (its vector on leaf, its dominance mask)
     memo: dict[tuple, int] = {}  # (k < d - 1, live bitmask, open coordinates) -> count below
-    fronts: dict[int, list] = {}  # live bitmask -> the live vectors minimal on leaf
+    fronts: dict[int, list] = {}  # kept bitmask -> its front: its vectors whose mask misses it
     lines: dict[tuple, tuple] = {}  # (kept bitmask, line base) -> prefix sums along the line
     members: dict[int, list] = {}  # kept bitmask -> its items
 
-    def front(live) -> list:
-        # sorted on leaf, a vector comes after every vector below it there; each
-        # is kept as an item of the last row (end d - 1, no bit), so it blocks
-        minimal: list = []
-        for u in sorted({tuple(v[j] for j in leaf) for v, _, _ in live}):
-            if not any(all(map(le, w, u)) for w, _, _ in minimal):
-                minimal.append((u, d - 1, 0))
-        return minimal
-
-    def count_last(u: tuple, front: list) -> int:
-        # the c of the box that no front vector's interval holds
-        lo, ends = cut_last(u, front)
-        count = blocked = 0
-        for c, _, block in ends:
-            if lo < c and not blocked:
-                count += c - lo
-            lo, blocked = c if c > lo else lo, blocked + block
-        return count
-
     if d == 1:
-        return count_last((0,) * len(leaf), front(live))
+        return count_last((0,) * len(leaf), [u for u, mask in below.values() if not mask])
     # opened[k] reads the coordinates not yet final at row k: the memo key with k and the live bits.
     opened = [itemgetter(*[j for j in range(ncols) if level[j] >= k]) for k in range(d - 1)]
     cut_rows = [cutter(k, bounds) for k in range(d - 1)]
@@ -442,7 +457,7 @@ def count_lattice_points(
         the line's points ma <= m < mb, or its first partial sum past room."""
         vectors = fronts.get(bits)
         if vectors is None:
-            vectors = fronts[bits] = front(items)
+            vectors = fronts[bits] = [u for _, _, b in items for u, m in [below[b]] if not m & bits]
         table = lines.get((bits, base))
         if table is None:  # the one state of a line with delta 0, or empty sums from ma
             table = count_last(base, vectors) if lead is None else (ma, [0], [0])
@@ -500,11 +515,11 @@ def count_lattice_points(
         memo[key] = count
         return count
 
-    room = float("inf") if limit is None else limit
     try:
         return rec(0, [0] * ncols, live, (1 << len(live)) - 1, room)
     finally:
         memo.clear()  # rec refers to itself: free the memo now, not at a later gc pass
+        below.clear()
         fronts.clear()
         lines.clear()
         members.clear()

@@ -158,6 +158,20 @@ def counted_by_enumeration(basis, bounds, avoid=()) -> int:
     )
 
 
+def leaf_front(live, leaf) -> list[Vector]:
+    """Oracle for the counter's last-level front: each live item (v, end, bit)
+    projected onto the leaf columns, and the distinct projections minimal there.
+
+    Sorted, a projection comes after every projection below it, so one
+    dominance scan against the minimal ones found so far decides it.
+    """
+    minimal: list[Vector] = []
+    for u in sorted({tuple(v[j] for j in leaf) for v, _, _ in live}):
+        if not any(all(map(le, w, u)) for w in minimal):
+            minimal.append(u)
+    return minimal
+
+
 def closure_aq(presentation, q: int) -> int:
     """Oracle for brute_force_aq: the same closure from 0, on tuples.
 

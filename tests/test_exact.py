@@ -30,11 +30,18 @@ from fsig.exact import (
     solve_linear_system,
 )
 from fsig.families import segre_aq_closed_form, segre_generators, veronese_generators
-from fsig.frobenius import MonomialIdeal, count_lattice_points, socle_witness
+from fsig.frobenius import (
+    MonomialIdeal,
+    _dominance,
+    count_lattice_points,
+    hk_difference_identity,
+    socle_witness,
+)
 from fsig.semigroup import build_context
 from oracles import (
     counted_by_enumeration,
     euclid_hermite_basis,
+    leaf_front,
     primitive_vector,
     scaled_inverse,
 )
@@ -706,12 +713,10 @@ def assert_every_limit_counts(basis, bounds, avoid):
         assert counted > limit if full > limit else counted == full, (bounds, avoid, limit)
 
 
-@st.composite
-def hermite_boxes_with_avoid(draw):
-    """A Hermite box of rank 1-4 and avoid vectors near its points: each is a
-    box point moved by at most 1 per coordinate, or an earlier vector raised
-    by 0 or 1 per coordinate, so duplicates and dominating vectors occur."""
-    basis, bounds = draw(hermite_boxes().filter(lambda case: case[0].nrows))
+def draw_near_avoid(draw, basis, bounds):
+    """Up to 6 avoid vectors near the box points: each is a box point moved by
+    at most 1 per coordinate, or an earlier vector raised by 0 or 1 per
+    coordinate, so duplicates and dominating vectors occur."""
     points = list(lattice_points_in_box(basis, bounds))
     avoid = []
     for _ in range(draw(st.integers(0, 6))):
@@ -721,7 +726,14 @@ def hermite_boxes_with_avoid(draw):
         else:
             u = draw(st.sampled_from(points))
             avoid.append(tuple(x + draw(st.integers(-1, 1)) for x in u))
-    return basis, bounds, avoid
+    return avoid
+
+
+@st.composite
+def hermite_boxes_with_avoid(draw):
+    """A Hermite box of rank 1-4 and avoid vectors near its points."""
+    basis, bounds = draw(hermite_boxes().filter(lambda case: case[0].nrows))
+    return basis, bounds, draw_near_avoid(draw, basis, bounds)
 
 
 class TestCountLatticePoints:
@@ -1084,6 +1096,130 @@ class TestCountLatticePoints:
         with pytest.raises(TypeError):
             count_lattice_points(identity, (2.5, 2))
         assert count_lattice_points(identity, (True, 2), [(1, 0)]) == 3
+
+
+@st.composite
+def leaf_live_sets(draw):
+    """Live items (v, end, bit) over n <= 4 columns, the leaf columns in any
+    order, and a kept bitmask.  Entries are small, so equal and comparable
+    projections are common, and a vector may copy an earlier one, exactly or
+    off the leaf only: equal projections of distinct items."""
+    n = draw(st.integers(1, 4))
+    leaf = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    vectors: list[tuple] = []
+    for _ in range(draw(st.integers(0, 12))):
+        if vectors and draw(st.booleans()):
+            v = list(draw(st.sampled_from(vectors)))
+            for j in range(n):
+                if j not in leaf:
+                    v[j] = draw(st.integers(-1, 3))
+        else:
+            v = [draw(st.integers(-1, 3)) for _ in range(n)]
+        vectors.append(tuple(v))
+    live = [(v, draw(st.integers(-1, 2)), 1 << i) for i, v in enumerate(vectors)]
+    return live, leaf, draw(st.integers(0, (1 << len(live)) - 1))
+
+
+class TestLeafFront:
+    """A kept set's last-level front read off the dominance masks is the
+    sorted dominance scan of oracles.leaf_front, one vector per value."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(leaf_live_sets())
+    # three items equal on the leaf, a fourth below them: only it is kept
+    @example(([((1, 2), 0, 1), ((1, 0), 0, 2), ((1, 1), 0, 4), ((0, 3), 0, 8)], [0], 15))
+    # equal on the leaf, the lower bit not kept: the next one stands for them
+    @example(([((2, 1), 0, 1), ((2, 0), 0, 2), ((2, 5), 0, 4)], [0], 6))
+    # equal vectors, one below another on every leaf column
+    @example(([((1, 1, 0), 1, 1), ((1, 1, 0), 1, 2), ((0, 1, 0), 1, 4)], [1, 0], 3))
+    def test_masks_give_the_sorted_front(self, case):
+        live, leaf, kept = case
+        table = _dominance(live, leaf)
+        assert sorted(table) == [bit for _, _, bit in live]
+        items = [item for item in live if item[2] & kept]
+        # the rule of the counter's run: the kept vectors whose mask misses the kept bits
+        chosen = [b for _, _, b in items if not table[b][1] & kept]
+        assert sorted(table[b][0] for b in chosen) == leaf_front(items, leaf)
+        for b in chosen:  # of the kept items equal on the leaf, the lowest bit
+            equal = [bit for _, _, bit in items if table[bit][0] == table[b][0]]
+            assert b == min(equal)
+
+
+@st.composite
+def last_row_boxes(draw, kind):
+    """A Hermite box of rank 1-3 whose last row makes its extra columns final
+    with positive entries only ("rising"), with a negative one ("falling"), or
+    makes none final ("none": the last row is its pivot alone), and avoid
+    vectors near the box points.  A falling column starts the last level
+    where the rows above left it, so an earlier row raises it: at 0 the box
+    would keep one coefficient there."""
+    d = draw(st.integers(2 if kind == "falling" else 1, 3))
+    extra = draw(st.integers(1, 2))
+    n = d + extra
+    steps = [draw(st.integers(1, 3)) for _ in range(d)]
+    rows = []
+    for i in range(d):
+        row = [0] * i + [steps[i]] + [draw(st.integers(0, s - 1)) for s in steps[i + 1 :]]
+        rows.append(row + [draw(st.integers(-2, 2)) for _ in range(extra)])
+    last = rows[-1]
+    if kind == "none":
+        last[d:] = [0] * extra
+    else:
+        last[d:] = [draw(st.integers(0, 2)) for _ in range(extra)]
+        j = draw(st.integers(d, n - 1))
+        last[j] = draw(st.integers(1, 2)) * (1 if kind == "rising" else -1)
+        if kind == "falling":
+            rows[draw(st.integers(0, d - 2))][j] = draw(st.integers(1, 2))
+    basis = IntegerMatrix(tuple(map(tuple, rows)))
+    bounds = draw(st.tuples(*[st.integers(0, 4)] * n))
+    return basis, bounds, draw_near_avoid(draw, basis, bounds)
+
+
+class TestLastLevelCut:
+    """The last row counts the c that no front vector's interval holds: an
+    interval reaching the top of the box lowers the end, a shorter one (a
+    falling column ends it there) is sorted and swept."""
+
+    @pytest.mark.parametrize("kind", ["rising", "falling", "none"])
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_counts_match_enumeration(self, kind, data):
+        basis, bounds, avoid = data.draw(last_row_boxes(kind))
+        assert hermite_basis(basis) == basis
+        final = [s for s in basis.rows[-1][basis.nrows :] if s]
+        assert bool(final) == (kind != "none")
+        assert any(s < 0 for s in final) == (kind == "falling")
+        assert_every_limit_counts(basis, bounds, avoid)
+
+    def test_the_identity_sorts_nothing_at_the_last_level(self):
+        # The last row of segre(2,2)'s image lattice, (0, 0, 1, 1), has no
+        # falling column, so no front vector's interval ends before the top
+        # of the box: nothing under run, where the last level is read, sorts.
+        emb = full_embedding(build_context(segre_generators(2, 2)))
+        work, frobenius = Counter(), "fsig.frobenius"
+
+        def under_run(frame):
+            while frame is not None:
+                if frame.f_code.co_name == "run" and frame.f_globals["__name__"] == frobenius:
+                    return True
+                frame = frame.f_back
+            return False
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name != "run" and under_run(frame):
+                work["calls"] += 1
+            elif event == "c_call" and getattr(arg, "__name__", "") in ("sort", "sorted"):
+                work["sorts" if under_run(frame) else "sorts above"] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = hk_difference_identity(emb, 2, 4)
+        finally:
+            sys.setprofile(None)
+        assert (result.not_dividing, result.with_witness) == (41_844, 41_800)
+        assert result.lhs == result.rhs == segre_aq_closed_form(2, 2, 4)
+        assert work["calls"] > 1000 and work["sorts above"] > 0
+        assert work["sorts"] == 0
 
 
 class TestSmallHelpers:

@@ -17,7 +17,13 @@ import fsig
 from fsig import families
 from fsig.cone import FacetFunctional, FullEmbedding
 from fsig.exact import IntegerMatrix
-from fsig.frobenius import FrobeniusCount, MonomialIdeal, hk_colength, socle_witness
+from fsig.frobenius import (
+    FrobeniusCount,
+    MonomialIdeal,
+    count_lattice_points,
+    hk_colength,
+    socle_witness,
+)
 from fsig.semigroup import NormalityVerdict, SemigroupContext
 from fsig.signature import SignaturePolytope, SignatureResult
 
@@ -92,12 +98,21 @@ VERONESE22 = fsig.veronese_generators(2, 2)
 CONTEXT = fsig.build_context(VERONESE22)
 EMBEDDING = fsig.full_embedding(CONTEXT)
 NOT_DIVIDING = MonomialIdeal.not_dividing(socle_witness(EMBEDDING), 1).minimal_generators(EMBEDDING)
+# N: at t = q = 1 its colengths are 2 and 1, below a budget of 3
+LINE = fsig.full_embedding(fsig.build_context(fsig.SemigroupPresentation(1, ((1,),))))
 INTEGER_PARAMETERS = {
     "hk_difference_identity-t": lambda t: fsig.hk_difference_identity(EMBEDDING, t, 2),
     "hk_difference_identity-q": lambda q: fsig.hk_difference_identity(EMBEDDING, 1, q),
+    "hk_difference_identity-budget": lambda b: fsig.hk_difference_identity(LINE, 1, 1, b),
     "hk_colength": lambda q: hk_colength(EMBEDDING, NOT_DIVIDING, q),
+    # the colength of the maximal ideal is 1, the point 0
+    "hk_colength-budget": lambda b: hk_colength(EMBEDDING, EMBEDDING.image_generators, 1, b),
     "count_aq": lambda q: fsig.count_aq(EMBEDDING, q),
+    "count_lattice_points-limit": lambda limit: count_lattice_points(
+        IntegerMatrix(((1,),)), (1,), limit=limit
+    ),
     "brute_force_aq": lambda q: fsig.brute_force_aq(VERONESE22, q),
+    "brute_force_aq-budget": lambda b: fsig.brute_force_aq(VERONESE22, 1, b),
     "MonomialIdeal.not_dividing": lambda t: MonomialIdeal.not_dividing((1, 1), t),
     "MonomialIdeal.not_dividing-mu": lambda x: MonomialIdeal.not_dividing((1, x), 1),
     "check_normal": lambda bound: fsig.check_normal(CONTEXT, EMBEDDING.functionals, bound),

@@ -324,12 +324,13 @@ class TestCheckNormal:
 
 
 def assert_torsion_bound(result, presentation):
-    """s*h <= 1 for h the order of the class group's torsion, and s = 1/h when n = d."""
+    """s*h <= 1 for h = g_T, the order of the class group's torsion, with
+    equality exactly at corank 0 (n = d): s = 1/|det T| = 1/h for a square T,
+    and s*h < 1 for every T with more rows than its rank."""
     emb = result.embedding
     h = class_group_torsion(emb)
     assert result.value * h <= 1, presentation
-    if emb.num_coordinates == emb.rank:
-        assert result.value == Fraction(1, h), presentation
+    assert (result.value == Fraction(1, h)) == (emb.num_coordinates == emb.rank), presentation
 
 
 class TestSignatureOneIffCertifiedFree:
